@@ -9,13 +9,8 @@ Seeds the service bench trajectory.  Three timed scenarios:
   compiled-program cache supplies the mapped netlist and schedule, so
   only placement + execution remain;
 * ``mixed_burst``  — a 9-job burst over three benchmarks against a
-  warm cache, exercising batching and slice packing.  Runs once per
-  registered execution engine (docs/execution.md): the ``vectorized``
-  row keeps the historical ``mixed_burst`` name, the
-  ``mixed_burst_reference`` row is the scalar baseline, and the
-  ``mixed_burst_specialized`` row replays the compiled plans — its
-  items/s must be >= 3x the vectorized row, and the printed
-  vectorized-vs-reference speedup must stay >= 5x;
+  warm cache, exercising batching and slice packing; every wave
+  replays its program's compiled plan (docs/execution.md);
 * ``optimized_cold_submit`` / ``warm_burst_heuristic`` /
   ``warm_burst_optimized`` — the optimal-mapping tier behind the
   program cache (docs/optimizer.md): the one-off optimization cost on
@@ -57,7 +52,7 @@ Seeds the service bench trajectory.  Three timed scenarios:
 
 Writes ``BENCH_service.json``: a list of
 ``{name, items, wall_s, cache_hit_rate, ...}`` rows (burst rows add
-``engine`` and ``items_per_s``), plus a printed cold/warm speedup (the
+``items_per_s``), plus a printed cold/warm speedup (the
 serving layer's acceptance bar is >= 5x).
 
 Also writes a ``BENCH_service_metrics.json`` sidecar: a metric
@@ -120,11 +115,13 @@ def bench_cold_vs_warm(items: int = 2) -> List[Dict[str, object]]:
     return rows
 
 
-def _burst_once(engine: str, jobs_per_benchmark: int,
-                items: int) -> Dict[str, object]:
+def bench_mixed_burst(jobs_per_benchmark: int = 3,
+                      items: int = 64) -> List[Dict[str, object]]:
+    # Same-benchmark jobs merge into one wave of
+    # jobs_per_benchmark * items, so each wave's compiled plan runs
+    # over a deep batch (BENCH_executor.json has the per-batch gain).
     benchmarks = ["VADD", "DOT", "SRT"]
-    service = AcceleratorService(system=scaled_system(l3_slices=2),
-                                 engine=engine)
+    service = AcceleratorService(system=scaled_system(l3_slices=2))
     for name in benchmarks:                 # warm the program cache
         service.result(service.submit(name, 1))
     start = time.perf_counter()
@@ -138,37 +135,13 @@ def _burst_once(engine: str, jobs_per_benchmark: int,
     wall = time.perf_counter() - start
     stats = service.stats()
     total = items * len(jobs)
-    name = ("mixed_burst" if engine == "vectorized"
-            else f"mixed_burst_{engine}")
-    row = _entry(name, total, wall, stats.cache_hit_rate)
-    row["engine"] = engine
+    row = _entry("mixed_burst", total, wall, stats.cache_hit_rate)
     row["items_per_s"] = total / wall
-    print(f"burst of {len(jobs)} jobs ({total} items, {engine}) in "
+    print(f"burst of {len(jobs)} jobs ({total} items) in "
           f"{wall * 1e3:8.2f} ms   {total / wall:8.0f} items/s   "
           f"cache hit rate {stats.cache_hit_rate:.0%}   "
           f"batched {stats.batched_jobs} jobs")
-    return row
-
-
-def bench_mixed_burst(jobs_per_benchmark: int = 3,
-                      items: int = 64) -> List[Dict[str, object]]:
-    # Same-benchmark jobs merge into one wave of
-    # jobs_per_benchmark * items, so the batch engines see batches deep
-    # enough for their fast paths to pay off (BENCH_executor.json has
-    # the per-batch crossover); the specialized engine additionally
-    # replays each program's compiled plan instead of re-interpreting
-    # the schedule per wave.
-    rows = [
-        _burst_once(engine, jobs_per_benchmark, items)
-        for engine in ("reference", "vectorized", "specialized")
-    ]
-    by_engine = {row["engine"]: row for row in rows}
-    reference = by_engine["reference"]["items_per_s"]
-    for engine in ("vectorized", "specialized"):
-        speedup = by_engine[engine]["items_per_s"] / reference
-        print(f"mixed_burst engine speedup {speedup:6.1f}x "
-              f"({engine} vs reference items/s)")
-    return rows
+    return [row]
 
 
 def bench_optimized_burst(jobs: int = 6,

@@ -60,9 +60,9 @@ class Subarray:
     def charge_reads(self, count: int) -> None:
         """Account ``count`` extra row reads without moving data.
 
-        The batch-vectorized engine performs one physical row access
-        for a whole batch but must charge the same traffic the
-        hardware would see (one access per invocation).
+        The compiled plan performs one physical row access for a whole
+        batch but must charge the same traffic the hardware would see
+        (one access per invocation).
         """
         if count < 0:
             raise CacheError("cannot charge a negative access count")

@@ -254,14 +254,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run_workload(
         device, request.benchmark, request.items,
         mccs_per_tile=request.mccs_per_tile, seed=request.seed,
-        engine=request.engine, optimize=request.optimize,
-        opt_budget_s=request.opt_budget_s,
+        optimize=request.optimize, opt_budget_s=request.opt_budget_s,
     )
     print(f"benchmark   : {report.benchmark}")
     print(f"items       : {report.items} across {report.slices_used} slices")
     print(f"tiles/slice : {report.tiles_per_slice} "
           f"({request.mccs_per_tile} MCCs each)")
-    print(f"engine      : {request.engine}")
     print(f"LUT evals   : {report.lut_evaluations}")
     print(f"MAC ops     : {report.mac_operations}")
     print(f"bus words   : {report.bus_words}")
@@ -361,11 +359,6 @@ def main(argv: List[str] | None = None) -> int:
     runp.add_argument("--tile", type=int, default=1,
                       help="MCCs per accelerator tile")
     runp.add_argument("--seed", type=int, default=0)
-    from .freac.engine import DEFAULT_ENGINE, ENGINES
-
-    runp.add_argument("--engine", choices=ENGINES, default=None,
-                      help="execution engine from the EngineSpec "
-                      f"registry (default: {DEFAULT_ENGINE})")
     runp.add_argument("--optimize", action="store_true",
                       help="run the fold-count-minimized program")
     runp.add_argument("--opt-budget-s", type=float, default=None,

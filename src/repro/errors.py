@@ -45,10 +45,9 @@ class ScheduleViolation(SchedulingError):
 class OptimizerError(ReproError):
     """The optimal-mapping tier was misconfigured or misused.
 
-    (An unknown backend, a backend whose solver library is not
-    installed, an inconsistent cycle assignment handed to the schedule
-    rebuilder — *not* an optimization that merely failed to improve,
-    which falls back to the heuristic schedule silently.)
+    (An invalid knob, an inconsistent cycle assignment handed to the
+    schedule rebuilder — *not* an optimization that merely failed to
+    improve, which falls back to the heuristic schedule silently.)
     """
 
 

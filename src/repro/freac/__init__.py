@@ -11,17 +11,7 @@ from .scratchpad import Scratchpad
 from .mcc import MicroComputeCluster
 from .ccctrl import ComputeClusterController
 from .compute_slice import ReconfigurableComputeSlice, SlicePartition
-from .engine import (
-    BatchResult,
-    DEFAULT_ENGINE,
-    ENGINES,
-    EngineLike,
-    EngineSpec,
-    register_engine,
-    resolve_engine,
-    validate_engine,
-)
-from .executor import FoldedExecutor, ExecutionStats, StreamBinding
+from .executor import BatchResult, ExecutionStats, FoldedExecutor, StreamBinding
 from .specialize import (
     SpecializationUnsupported,
     SpecializedPlan,
@@ -44,19 +34,12 @@ from .timing import (
 
 __all__ = [
     "BatchResult",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "EngineLike",
-    "EngineSpec",
     "ExecutionSession",
     "SpecializationUnsupported",
     "SpecializedPlan",
     "build_plan",
     "plan_artifact",
     "plan_for",
-    "register_engine",
-    "resolve_engine",
-    "validate_engine",
     "FoldedLut",
     "Scratchpad",
     "MicroComputeCluster",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DeviceError, ProtocolError
 from ..folding.config import ConfigImage, generate_config
@@ -26,7 +26,6 @@ from .compute_slice import (
     ResizeDelta,
     SlicePartition,
 )
-from .engine import EngineLike, resolve_engine
 from .executor import ExecutionStats, FoldedExecutor, StreamBinding
 
 
@@ -196,25 +195,7 @@ class ComputeClusterController:
         with self.telemetry.span("device.program", "device",
                                  slice=self.slice_index):
             tile_size = schedule.resources.mccs
-            tiles = self.slice.tiles(tile_size)
-            # Every tile has the same subarray geometry and runs the same
-            # schedule, so generate the configuration image once and share
-            # the (read-only) instance across executors.
-            image = (
-                generate_config(
-                    schedule, rows_per_subarray=tiles[0][0].config_rows
-                )
-                if tiles else None
-            )
-            self.executors = [
-                FoldedExecutor(
-                    schedule, tile, self.slice.scratchpad,
-                    preflight=preflight, config=image,
-                    telemetry=self.telemetry,
-                    trace_track=f"slice{self.slice_index}/tile{index}",
-                )
-                for index, tile in enumerate(tiles)
-            ]
+            tiles, image = self._instantiate(schedule, preflight=preflight)
             words_total = 0
             for executor in self.executors:
                 words_total += executor.load_configuration()
@@ -268,22 +249,7 @@ class ComputeClusterController:
         with self.telemetry.span("device.reprogram", "device",
                                  slice=self.slice_index):
             tile_size = schedule.resources.mccs
-            tiles = self.slice.tiles(tile_size)
-            image = (
-                generate_config(
-                    schedule, rows_per_subarray=tiles[0][0].config_rows
-                )
-                if tiles else None
-            )
-            self.executors = [
-                FoldedExecutor(
-                    schedule, tile, self.slice.scratchpad,
-                    preflight=preflight, config=image,
-                    telemetry=self.telemetry,
-                    trace_track=f"slice{self.slice_index}/tile{index}",
-                )
-                for index, tile in enumerate(tiles)
-            ]
+            tiles, image = self._instantiate(schedule, preflight=preflight)
             for executor in self.executors:
                 executor.load_configuration()
             full_words = image.total_words if image else 0
@@ -312,6 +278,37 @@ class ComputeClusterController:
             delta=True,
             words_saved=max(0, full_words - billed_words),
         )
+
+    def _instantiate(
+        self, schedule: FoldingSchedule, *, preflight: bool
+    ) -> Tuple[List[list], Optional[ConfigImage]]:
+        """Install one executor per tile for ``schedule`` (unloaded).
+
+        Every tile has the same sub-array geometry and runs the same
+        schedule, so the configuration image is generated once and
+        shared read-only.  Every MCC is then switched to the schedule's
+        LUT mode: a k=4 schedule addresses twice as many LUT units as a
+        k=5 one, and a warm slice may switch k between programs.
+        """
+        tiles = self.slice.tiles(schedule.resources.mccs)
+        image = (
+            generate_config(
+                schedule, rows_per_subarray=tiles[0][0].config_rows
+            )
+            if tiles else None
+        )
+        for mcc in self.slice.mccs:
+            mcc.set_lut_mode(schedule.resources.lut_inputs)
+        self.executors = [
+            FoldedExecutor(
+                schedule, tile, self.slice.scratchpad,
+                preflight=preflight, config=image,
+                telemetry=self.telemetry,
+                trace_track=f"slice{self.slice_index}/tile{index}",
+            )
+            for index, tile in enumerate(tiles)
+        ]
+        return tiles, image
 
     def verify_configuration(self) -> bool:
         """Scrub every tile's loaded bitstream against the image.
@@ -386,8 +383,6 @@ class ComputeClusterController:
         self,
         items: int,
         scratchpad_map: Dict[str, StreamBinding],
-        *,
-        engine: EngineLike = None,
     ) -> ExecutionStats:
         """Run ``items`` invocations, round-robin across the tiles.
 
@@ -395,22 +390,16 @@ class ComputeClusterController:
         goes to tile ``i % tiles`` — the data-parallel split the paper
         uses ("work is divided evenly across all available accelerator
         tiles", Sec. V).  Each tile's whole item set is handed to
-        :meth:`FoldedExecutor.run_batch` in one call, so the batch
-        engines (``specialized``/``vectorized``) execute each tile's
-        items in SoA lock-step.  ``engine`` is any
-        :class:`~repro.freac.engine.EngineLike`; ``None`` picks the
-        registry default (docs/execution.md).
+        :meth:`FoldedExecutor.run_batch` in one call, which runs it
+        through the program's compiled plan (docs/execution.md).
         """
         if self.state is not ControllerState.CONFIGURED:
             raise ProtocolError("program the accelerator before running")
-        spec = resolve_engine(engine)
         tiles = len(self.executors)
         for tile, executor in enumerate(self.executors):
             indices = range(tile, items, tiles)
             if indices:
-                executor.run_batch(
-                    indices, scratchpad_map=scratchpad_map, engine=spec
-                )
+                executor.run_batch(indices, scratchpad_map=scratchpad_map)
         total = ExecutionStats()
         for executor in self.executors:
             stats = executor.stats

@@ -25,7 +25,6 @@ from ..telemetry import Telemetry
 from ..telemetry.core import resolve
 from .ccctrl import ComputeClusterController, ProgramReport, SetupReport
 from .compute_slice import ReconfigurableComputeSlice, SlicePartition
-from .engine import EngineLike
 from .executor import StreamBinding
 from .hostif import HostInterface
 
@@ -181,14 +180,12 @@ class FreacDevice:
         scratchpad_map: Dict[str, StreamBinding],
         *,
         per_slice_items: Optional[Sequence[int]] = None,
-        engine: EngineLike = None,
     ) -> Dict[str, int]:
         """Run a batch split across slices; returns aggregate counters.
 
         Items are block-distributed: slice *s* runs items
         ``[s*chunk, ...)`` against its own scratchpad, mirroring the
-        paper's data-parallel decomposition.  ``engine`` is any
-        :class:`~repro.freac.engine.EngineLike` (``None`` = default).
+        paper's data-parallel decomposition.
         """
         active = [c for c in self.controllers if c.state.value == "configured"]
         if not active:
@@ -208,7 +205,7 @@ class FreacDevice:
         for controller, count in zip(active, per_slice_items):
             if count == 0:
                 continue
-            stats = controller.run_batch(count, scratchpad_map, engine=engine)
+            stats = controller.run_batch(count, scratchpad_map)
             totals["invocations"] += stats.invocations
             totals["lut_evaluations"] += stats.lut_evaluations
             totals["mac_operations"] += stats.mac_operations

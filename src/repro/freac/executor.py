@@ -31,13 +31,6 @@ from ..folding.config import ConfigImage, generate_config
 from ..folding.schedule import FoldingSchedule, OpSlot
 from ..telemetry import Telemetry
 from ..telemetry.core import resolve
-from .engine import (
-    BatchResult,
-    EngineLike,
-    VectorizationUnsupported,
-    resolve_engine,
-    run_batch_vectorized,
-)
 from .mcc import MicroComputeCluster
 from .scratchpad import Scratchpad
 
@@ -78,9 +71,8 @@ class ExecutionStats:
     bus_stores: int = 0
     config_words_loaded: int = 0
     config_reloads: int = 0
-    #: Runs where the requested engine could not represent the batch
-    #: (sequential netlist, ragged streams, trace collection) and the
-    #: executor degraded to the engine's registered fallback.
+    #: Batches the compiled plan could not represent (sequential
+    #: netlist, ragged streams) that ran on the scalar reference loop.
     engine_fallbacks: int = 0
 
     @property
@@ -90,12 +82,38 @@ class ExecutionStats:
     def as_dict(self) -> Dict[str, int]:
         """A detached plain-``int`` snapshot of the counters.
 
-        Bulk charges on the vectorized path may carry numpy integer
-        types; coercing here guarantees the dict is JSON-serialisable
-        and shares no mutable state with the live counters, so two
-        engines (or two snapshots) can never alias each other.
+        Bulk charges on the plan path may carry numpy integer types;
+        coercing here guarantees the dict is JSON-serialisable and
+        shares no mutable state with the live counters, so two
+        executors (or two snapshots) can never alias each other.
         """
         return {key: int(value) for key, value in self.__dict__.items()}
+
+
+@dataclass
+class BatchResult:
+    """Results of one batched run, item-major.
+
+    ``outputs[name]`` is a ``(items,)`` array, ``stores[stream]`` an
+    ``(items, words)`` array; :meth:`item_outputs` and
+    :meth:`item_stores` recover the plain-int view a scalar
+    :class:`InvocationResult` gives.  ``engine`` names the path that
+    ran: ``"specialized"`` (the compiled plan) or ``"reference"``.
+    """
+
+    items: int
+    engine: str
+    outputs: Dict[str, np.ndarray] = field(default_factory=dict)
+    stores: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    def item_outputs(self, item: int) -> Dict[str, int]:
+        return {name: int(col[item]) for name, col in self.outputs.items()}
+
+    def item_stores(self, item: int) -> Dict[str, List[int]]:
+        return {
+            stream: [int(word) for word in rows[item]]
+            for stream, rows in self.stores.items()
+        }
 
 
 class FoldedExecutor:
@@ -117,6 +135,13 @@ class FoldedExecutor:
                 f"schedule needs {schedule.resources.mccs} MCCs, tile has "
                 f"{len(tile)}"
             )
+        lut_inputs = schedule.resources.lut_inputs
+        for mcc in tile:
+            if mcc.lut_inputs != lut_inputs:
+                raise DeviceError(
+                    f"MCC {mcc.index} is in {mcc.lut_inputs}-LUT mode but "
+                    f"the schedule folds {lut_inputs}-input LUTs"
+                )
         if preflight:
             # Pre-flight lint (docs/analysis.md): refuse to generate
             # configuration bits from an illegal schedule; warnings
@@ -391,8 +416,6 @@ class FoldedExecutor:
         streams: Optional[Mapping[str, Sequence[Sequence[int]]]] = None,
         bindings: Optional[Mapping[str, object]] = None,
         scratchpad_map: Optional[Mapping[str, StreamBinding]] = None,
-        engine: EngineLike = None,
-        collect_trace: bool = False,
     ) -> BatchResult:
         """Execute a whole batch of invocations in one call.
 
@@ -402,68 +425,47 @@ class FoldedExecutor:
         is lane *lane*'s word list; ``bindings`` values may be scalars
         (broadcast) or per-lane sequences.
 
-        ``engine`` is an :class:`~repro.freac.engine.EngineSpec` or a
-        registered name (``None`` means the default).  ``specialized``
-        runs the program's compiled execution plan
-        (:mod:`repro.freac.specialize`); ``vectorized`` runs all lanes
-        in SoA lock-step (:mod:`repro.freac.engine`).  Both fall back
-        to the reference loop for runs they cannot represent
-        (sequential netlists, ragged streams, trace collection) —
-        counted in ``stats.engine_fallbacks``.  Results and every
-        counter are bit-for-bit identical between engines.
+        The batch runs through the program's compiled execution plan
+        (:mod:`repro.freac.specialize`).  Runs the plan cannot
+        represent (sequential netlists, ragged streams) fall back to
+        :meth:`run_batch_reference`, counted in
+        ``stats.engine_fallbacks``.  Results and every counter are
+        bit-for-bit identical between the two paths.
         """
-        spec = resolve_engine(engine)
-        if isinstance(items, (int, np.integer)):
-            indices: List[int] = list(range(int(items)))
-        else:
-            indices = [int(i) for i in items]
-        if spec.name != "reference":
-            if not collect_trace:
-                try:
-                    if spec.name == "specialized":
-                        from .specialize import (
-                            SpecializationUnsupported,
-                            run_batch_specialized,
-                        )
+        from .specialize import SpecializationUnsupported, run_batch_specialized
 
-                        try:
-                            return run_batch_specialized(
-                                self,
-                                indices,
-                                streams=streams,
-                                bindings=bindings,
-                                scratchpad_map=scratchpad_map,
-                            )
-                        except SpecializationUnsupported:
-                            raise VectorizationUnsupported from None
-                    return run_batch_vectorized(
-                        self,
-                        indices,
-                        streams=streams,
-                        bindings=bindings,
-                        scratchpad_map=scratchpad_map,
-                    )
-                except VectorizationUnsupported:
-                    pass
+        indices = _item_indices(items)
+        try:
+            return run_batch_specialized(
+                self,
+                indices,
+                streams=streams,
+                bindings=bindings,
+                scratchpad_map=scratchpad_map,
+            )
+        except SpecializationUnsupported:
             self.stats.engine_fallbacks += 1
-        return self._run_batch_reference(
+        return self.run_batch_reference(
             indices,
             streams=streams,
             bindings=bindings,
             scratchpad_map=scratchpad_map,
-            collect_trace=collect_trace,
         )
 
-    def _run_batch_reference(
+    def run_batch_reference(
         self,
-        indices: Sequence[int],
+        items: "int | Sequence[int]",
         *,
         streams: Optional[Mapping[str, Sequence[Sequence[int]]]] = None,
         bindings: Optional[Mapping[str, object]] = None,
         scratchpad_map: Optional[Mapping[str, StreamBinding]] = None,
-        collect_trace: bool = False,
     ) -> BatchResult:
-        """The scalar loop, reshaped into the batched result layout."""
+        """The scalar :meth:`run` loop, reshaped into a batch result.
+
+        The ground truth the compiled plan must match bit for bit, and
+        its fallback; tests call it directly as the oracle.
+        """
+        indices = _item_indices(items)
         streams = streams or {}
         bindings = bindings or {}
         results: List[InvocationResult] = []
@@ -480,7 +482,6 @@ class FoldedExecutor:
                     bindings=lane_bindings,
                     scratchpad_map=scratchpad_map,
                     item=item,
-                    collect_trace=collect_trace,
                 )
             )
         outputs: Dict[str, np.ndarray] = {}
@@ -503,7 +504,6 @@ class FoldedExecutor:
             engine="reference",
             outputs=outputs,
             stores=stores,
-            traces=[r.trace for r in results] if collect_trace else [],
         )
 
     # ------------------------------------------------------------------
@@ -543,6 +543,13 @@ class FoldedExecutor:
             address = binding.base_word + item * binding.words_per_item + index
             self.scratchpad.write_word(address, word)
         store_streams.setdefault(stream, {})[index] = word
+
+
+def _item_indices(items: "int | Sequence[int]") -> List[int]:
+    """A batch's global item indices from a count or an explicit list."""
+    if isinstance(items, (int, np.integer)):
+        return list(range(int(items)))
+    return [int(i) for i in items]
 
 
 @dataclass

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import DeviceError
 
 
@@ -58,29 +56,6 @@ class FoldedLut:
                 for index in range(len(candidates) // 2)
             ]
         return candidates[0]
-
-    def evaluate_batch(self, input_bits: Sequence[np.ndarray],
-                       batch: int) -> np.ndarray:
-        """Evaluate the latched table for a whole batch at once.
-
-        ``input_bits[i]`` is a ``(batch,)`` array of 0/1 values for
-        input *i*; missing trailing inputs are treated as constant 0
-        (the executor's zero-padding).  The hardware still selects
-        once per invocation, so ``batch`` evaluations are charged.
-        Bit-exact with :meth:`evaluate` lane by lane.
-        """
-        if len(input_bits) > self.inputs:
-            raise DeviceError(
-                f"LUT has {self.inputs} inputs, got {len(input_bits)}"
-            )
-        self.evaluations += batch
-        index = np.zeros(batch, dtype=np.int64)
-        for position, bits in enumerate(input_bits):
-            index |= (np.asarray(bits, dtype=np.int64) & 1) << position
-        # Truth-table gather: every lane selects from the same latched
-        # row (same step, same configuration), so indexing the config
-        # word with the per-lane mux index is the whole evaluation.
-        return ((self._config >> index) & 1).astype(np.uint32)
 
     def evaluate_indexed(self, input_bits: Sequence[int]) -> int:
         """Direct truth-table indexing (the reference semantics)."""

@@ -35,20 +35,6 @@ class MacUnit:
         self.operations += 1
         return (a * b + acc) & self.MASK
 
-    def mac_batch(self, a: np.ndarray, b: np.ndarray,
-                  acc: np.ndarray) -> np.ndarray:
-        """Masked 32-bit multiply-accumulate across a whole batch.
-
-        uint32 arithmetic wraps modulo 2^32, which is exactly the
-        ``& MASK`` of the scalar path; one operation is charged per
-        lane (the hardware fires once per invocation).
-        """
-        a = np.asarray(a, dtype=np.uint32)
-        b = np.asarray(b, dtype=np.uint32)
-        acc = np.asarray(acc, dtype=np.uint32)
-        self.operations += int(a.shape[0])
-        return a * b + acc
-
 
 class RegisterBank:
     """The 256-bit intermediate-value flip-flop bank.
@@ -102,13 +88,27 @@ class MicroComputeCluster:
             )
         self.index = index
         self.subarrays = list(subarrays)
-        self.lut_inputs = lut_inputs
-        self.luts: List[FoldedLut] = [
-            FoldedLut(lut_inputs) for _ in range(self.params.lut_slots(lut_inputs))
-        ]
+        self.lut_inputs = 0
+        self.luts: List[FoldedLut] = []
+        self.set_lut_mode(lut_inputs)
         self.mac = MacUnit()
         self.registers = RegisterBank(self.params.register_file_bits)
         self._config_cycles = 0
+
+    def set_lut_mode(self, lut_inputs: int) -> None:
+        """Switch between 5-LUT mode (one table per 32-bit row) and
+        4-LUT mode (two 16-bit tables per row, twice the LUT units).
+
+        The CC Ctrl sets the mode from each program's schedule, so a
+        warm slice can change LUT width between programs.
+        """
+        if lut_inputs == self.lut_inputs:
+            return
+        self.luts = [
+            FoldedLut(lut_inputs)
+            for _ in range(self.params.lut_slots(lut_inputs))
+        ]
+        self.lut_inputs = lut_inputs
 
     @property
     def config_rows(self) -> int:
@@ -158,26 +158,6 @@ class MicroComputeCluster:
         lut = self.luts[unit]
         lut.reconfigure(config)
         return lut.evaluate(list(input_bits))
-
-    def evaluate_lut_batch(self, unit: int, cycle: int,
-                           input_bits: Sequence[np.ndarray],
-                           batch: int) -> np.ndarray:
-        """One folding step of one LUT across a whole batch.
-
-        The configuration row is physically fetched once (the table is
-        shared by every in-flight item at this step), but each
-        invocation's row read and reconfiguration are still charged so
-        the accounting matches ``batch`` scalar :meth:`evaluate_lut`
-        calls bit for bit.
-        """
-        if not 0 <= unit < len(self.luts):
-            raise DeviceError(f"LUT unit {unit} out of range")
-        config = self.fetch_lut_config(unit, cycle)
-        self.subarrays[self._unit_subarray(unit)].charge_reads(batch - 1)
-        lut = self.luts[unit]
-        lut.reconfigure(config)
-        lut.reconfigurations += batch - 1
-        return lut.evaluate_batch(input_bits, batch)
 
     @property
     def subarray_reads(self) -> int:

@@ -30,7 +30,6 @@ from ..workloads.datagen import Dataset, dataset_for
 from .ccctrl import ComputeClusterController
 from .compute_slice import SlicePartition
 from .device import AcceleratorProgram, FreacDevice
-from .engine import EngineLike
 from .executor import StreamBinding
 
 
@@ -169,7 +168,6 @@ def execute_on_controllers(
     *,
     pe: Optional[PeCircuit] = None,
     telemetry: Optional[Telemetry] = None,
-    engine: EngineLike = None,
 ) -> Tuple[Dict[str, int], List[int]]:
     """Fill, run, and verify one batch on the given slice controllers.
 
@@ -180,8 +178,8 @@ def execute_on_controllers(
 
     Fills and readbacks are issued as one bulk scratchpad transfer per
     stream per slice, and the run itself goes through the batched
-    controller entry point, so with ``engine="vectorized"`` the whole
-    batch executes in SoA lock-step (docs/execution.md).
+    controller entry point, so each tile's share of the batch runs as
+    one pass over the compiled plan (docs/execution.md).
     """
     if not controllers:
         raise DeviceError("no controllers to execute on")
@@ -215,7 +213,7 @@ def execute_on_controllers(
                             + local * binding.words_per_item,
                             item_words,
                         )
-            controller.run_batch(count, layout, engine=engine)
+            controller.run_batch(count, layout)
     after = _controller_totals(controllers)
     totals = {key: after[key] - before[key] for key in after}
 
@@ -254,7 +252,6 @@ def run_workload(
     dataset: Optional[Dataset] = None,
     program: Optional[AcceleratorProgram] = None,
     telemetry: Optional[Telemetry] = None,
-    engine: EngineLike = None,
     optimize: bool = False,
     opt_budget_s: Optional[float] = None,
 ) -> WorkloadRunReport:
@@ -294,9 +291,7 @@ def run_workload(
                                 opt_budget_s=opt_budget_s)
 
     pe = build_pe(name)
-    with ExecutionSession(
-        device, partition, engine=engine, telemetry=telemetry
-    ) as session:
+    with ExecutionSession(device, partition, telemetry=telemetry) as session:
         session.program(program, mccs_per_tile)
         pad_words = session.controllers[0].slice.scratchpad.words
         layout = plan_layout(dataset, pad_words, pe=pe)

@@ -11,13 +11,10 @@ session object owns that lifecycle instead:
         totals, mismatched = session.execute(dataset, layout)
     # ways are unlocked here, even if execute() raised
 
-It pins the slice indices it claimed, the telemetry sink, and the
-execution engine choice — an :class:`~repro.freac.engine.EngineSpec`
-resolved once from whatever the caller passed (a spec, a bare string
-like ``"specialized"``, or ``None`` for the default; see
-docs/execution.md) — so the runner and the serving layer are thin
-callers.  It is the **only** lifecycle API: the old
-``FreacDevice.setup/program/teardown`` delegates have been removed.
+It pins the slice indices it claimed and the telemetry sink, so the
+runner and the serving layer are thin callers.  It is the **only**
+lifecycle API: the old ``FreacDevice.setup/program/teardown``
+delegates have been removed.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .ccctrl import (
 )
 from .compute_slice import SlicePartition
 from .device import AcceleratorProgram, FreacDevice
-from .engine import EngineLike, EngineSpec, resolve_engine
 from .executor import StreamBinding
 
 
@@ -54,7 +50,6 @@ class ExecutionSession:
         partition: Optional[SlicePartition] = None,
         *,
         slices: Union[int, Sequence[int], None] = None,
-        engine: EngineLike = None,
         telemetry: Optional[Telemetry] = None,
         attach: bool = False,
         release: bool = True,
@@ -63,7 +58,6 @@ class ExecutionSession:
         self.partition = partition or SlicePartition(
             compute_ways=4, scratchpad_ways=4
         )
-        self.engine: EngineSpec = resolve_engine(engine)
         if telemetry is not None:
             device.set_telemetry(telemetry)
         self.telemetry = device.telemetry
@@ -246,8 +240,8 @@ class ExecutionSession:
     ) -> Dict[str, int]:
         """Run a batch data-parallel across the session's slices.
 
-        Same contract as the old ``FreacDevice.run_batch``, but scoped
-        to this session's slices and engine choice.
+        Same contract as ``FreacDevice.run_batch``, but scoped to this
+        session's slices.
         """
         self._require_programmed()
         if per_slice_items is None:
@@ -266,9 +260,7 @@ class ExecutionSession:
         for controller, count in zip(self.controllers, per_slice_items):
             if count == 0:
                 continue
-            stats = controller.run_batch(
-                count, scratchpad_map, engine=self.engine
-            )
+            stats = controller.run_batch(count, scratchpad_map)
             totals["invocations"] += stats.invocations
             totals["lut_evaluations"] += stats.lut_evaluations
             totals["mac_operations"] += stats.mac_operations
@@ -281,7 +273,7 @@ class ExecutionSession:
 
         Thin wrapper over
         :func:`repro.freac.runner.execute_on_controllers` that supplies
-        the session's controllers, telemetry, and engine.  Returns
+        the session's controllers and telemetry.  Returns
         ``(totals, mismatched_item_indices)``.
         """
         self._require_programmed()
@@ -289,5 +281,5 @@ class ExecutionSession:
 
         return execute_on_controllers(
             self.controllers, dataset, layout,
-            pe=pe, telemetry=self.telemetry, engine=self.engine,
+            pe=pe, telemetry=self.telemetry,
         )

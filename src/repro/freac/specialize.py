@@ -1,12 +1,15 @@
-"""Per-program compiled execution plans (the ``specialized`` engine).
+"""Per-program compiled execution plans: the production execution path.
 
-The vectorized engine (:mod:`repro.freac.engine`) removed the per-item
-loop but still *interprets* the folding schedule: every folding step
-dispatches per-op Python (``value_of`` resolution, ``evaluate_lut_batch``
-calls, per-op counter bumps).  At batch 1 that interpreter overhead
-makes it slower than the plain reference loop.
+The reference :meth:`~repro.freac.executor.FoldedExecutor.run` loop
+walks the folding schedule one batch item at a time in pure Python —
+faithful, but then the simulator, not the modeled hardware, is the
+bottleneck.  The structural fact the plan exploits (shared with
+DRAM-PIM LUT inference engines such as LOCALUT) is that at folding
+step *t* every in-flight item selects through the same latched
+configuration row, so the walk vectorizes over the batch axis — and,
+because the walk is the same for every batch of a program, it can be
+compiled once.
 
-This module moves all of that work to **program-build time**.
 :func:`build_plan` flattens a :class:`~repro.folding.schedule.FoldingSchedule`
 into a :class:`SpecializedPlan`:
 
@@ -23,7 +26,7 @@ into a :class:`SpecializedPlan`:
   (``base + word_index + item * words_per_item``) issued as one bulk
   :meth:`~repro.freac.scratchpad.Scratchpad.read_words_batch` /
   ``write_words_batch`` per stream per level, charging exactly the
-  per-invocation accesses the reference engine charges;
+  per-invocation accesses the reference loop charges;
 * all remaining accounting — per-sub-array config-row reads, per-LUT
   reconfiguration/evaluation counts, MAC operation counts, register
   peak occupancy — is reduced to bulk totals applied once per batch.
@@ -31,14 +34,13 @@ into a :class:`SpecializedPlan`:
 ``run_batch_specialized`` is therefore a short sequence of numpy ops
 with zero per-step Python dispatch, bit-exact with the reference loop:
 outputs, stores, AND every access counter, including segment-reload
-and rewind-to-segment-0 charging (which reuses the vectorized engine's
-``_charge_segment`` bookkeeping verbatim).
+and rewind-to-segment-0 charging.
 
-Unsupported netlists (flip-flops: their state threads sequentially
-from item to item) raise :class:`SpecializationUnsupported` before any
-state is mutated; the executor falls back per-program to the reference
-engine and counts the degradation in
-``ExecutionStats.engine_fallbacks``.
+Unsupported runs (flip-flops: their state threads sequentially from
+item to item; ragged host streams) raise
+:class:`SpecializationUnsupported` before any state is mutated; the
+executor falls back to the reference loop and counts the degradation
+in ``ExecutionStats.engine_fallbacks``.
 
 Ordering caveat: loads and stores are serialized *per stream name*
 (a load observes every earlier store to the same stream, and stores to
@@ -57,36 +59,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.netlist import NodeKind, WORD_MASK
 from ..errors import CircuitError, DeviceError
 from ..folding.schedule import FoldingSchedule, OpSlot
-from .engine import (
-    BatchResult,
-    _as_item_major,
-    _as_lane_bindings,
-    _charge_segment,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .executor import FoldedExecutor, StreamBinding
+from .executor import BatchResult, FoldedExecutor, StreamBinding
 
 
 class SpecializationUnsupported(Exception):
-    """Raised *before any state mutation* when a netlist cannot be
-    compiled to (or run through) a specialized plan; the caller falls
-    back to the reference engine."""
+    """Raised *before any state mutation* when a run cannot go through
+    a compiled plan (flip-flops, ragged streams); the executor falls
+    back to the reference loop."""
 
 
 #: Value-table row 0 is a constant zero every pass may read (padding
@@ -648,20 +634,99 @@ def plan_artifact(schedule: FoldingSchedule) -> Dict[str, object]:
         return {"supported": False, "reason": str(exc)}
 
 
+def _as_item_major(
+    streams: Mapping[str, Sequence[Sequence[int]]], batch: int
+) -> Dict[str, np.ndarray]:
+    """Convert per-item stream data to ``(batch, words)`` arrays."""
+    arrays: Dict[str, np.ndarray] = {}
+    for stream, data in streams.items():
+        try:
+            arr = np.asarray(data, dtype=np.uint64)
+        except (TypeError, ValueError) as exc:
+            raise SpecializationUnsupported(
+                f"stream {stream!r} is not rectangular: {exc}"
+            ) from None
+        if arr.ndim != 2 or arr.shape[0] != batch:
+            raise SpecializationUnsupported(
+                f"stream {stream!r} has shape {arr.shape}, expected "
+                f"({batch}, words)"
+            )
+        arrays[stream] = (arr & np.uint64(WORD_MASK)).astype(np.uint32)
+    return arrays
+
+
+def _as_lane_bindings(
+    bindings: Mapping[str, object], batch: int
+) -> Dict[str, np.ndarray]:
+    lanes: Dict[str, np.ndarray] = {}
+    for name, value in bindings.items():
+        if isinstance(value, (int, np.integer)):
+            lanes[name] = np.full(batch, int(value) & WORD_MASK,
+                                  dtype=np.uint32)
+        else:
+            arr = np.asarray(value, dtype=np.uint64)
+            if arr.shape != (batch,):
+                raise SpecializationUnsupported(
+                    f"binding {name!r} has shape {arr.shape}, expected "
+                    f"({batch},)"
+                )
+            lanes[name] = (arr & np.uint64(WORD_MASK)).astype(np.uint32)
+    return lanes
+
+
+def _charge_segment(executor: FoldedExecutor, segment: int,
+                    times: int) -> None:
+    """Charge ``times`` logical loads of ``segment`` without moving data.
+
+    The reference loop re-streams the configuration window once per
+    item; the plan loads it physically once and adds the remaining
+    items' traffic here so every counter — executor stats,
+    per-sub-array writes, telemetry — matches bit for bit.
+    """
+    if times <= 0:
+        return
+    start = segment * executor._rows
+    rows = min(start + executor._rows, executor.config.cycles) - start
+    words = 0
+    for mcc_index, mcc in enumerate(executor.tile):
+        for unit, _column in enumerate(executor.config.lut_words[mcc_index]):
+            mcc.subarrays[unit].charge_writes(rows * times)
+            words += rows
+    total = words * times
+    executor.stats.config_words_loaded += total
+    if segment > 0:
+        executor.stats.config_reloads += times
+    telemetry = executor.telemetry
+    if telemetry.enabled and total:
+        telemetry.counter(
+            "freac.config_words_written",
+            "configuration words streamed into compute sub-arrays",
+        ).inc(total, tile=executor.trace_track)
+        if segment > 0:
+            telemetry.counter(
+                "freac.reconfig_events",
+                "mid-run configuration segment reloads",
+            ).inc(times, tile=executor.trace_track)
+            telemetry.counter(
+                "freac.stall_cycles",
+                "cycles stalled waiting on configuration reloads",
+            ).inc(times * (words // max(len(executor.tile), 1)),
+                  tile=executor.trace_track)
+
+
 def run_batch_specialized(
-    executor: "FoldedExecutor",
+    executor: FoldedExecutor,
     item_indices: Sequence[int],
     *,
     streams: Optional[Mapping[str, Sequence[Sequence[int]]]] = None,
     bindings: Optional[Mapping[str, object]] = None,
-    scratchpad_map: Optional[Mapping[str, "StreamBinding"]] = None,
+    scratchpad_map: Optional[Mapping[str, StreamBinding]] = None,
 ) -> BatchResult:
     """Execute a batch through the executor's compiled plan.
 
     Raises :class:`SpecializationUnsupported` (no plan for this
-    netlist) or :class:`~repro.freac.engine.VectorizationUnsupported`
-    (ragged inputs) before touching any state, so the caller can fall
-    back to the reference loop.
+    netlist, or ragged inputs) before touching any state, so the
+    caller can fall back to the reference loop.
     """
     if executor._loaded_segment < 0:
         raise DeviceError("load the configuration before running")
@@ -689,9 +754,11 @@ def run_batch_specialized(
     segments = executor.segments
     rows = executor._rows
 
-    # Segment charging is identical to the vectorized engine: load each
-    # window physically once, charge the other batch items in bulk, and
-    # account the rewind to segment 0 (see run_batch_vectorized).
+    # Load each window physically once and charge the other batch
+    # items in bulk.  Segment-0 rewinds: in the reference loop every
+    # item whose run starts with a different segment loaded re-streams
+    # the first window.  Item 1 rewinds iff something later is loaded
+    # now; items 2..B rewind iff the schedule is segmented at all.
     rewinds = (1 if executor._loaded_segment != 0 else 0)
     rewinds += batch - 1 if segments > 1 else 0
     if executor._loaded_segment != 0:
@@ -822,10 +889,15 @@ def run_batch_specialized(
             * executor.schedule.resources.luts_per_mcc * batch,
             tile=track,
         )
-        telemetry.cycle_event(
-            "plan_run", base_cycle, track=track,
-            passes=len(plan.passes), items=batch,
-        )
+        # One instant per folding cycle, as the reference loop emits
+        # (docs/observability.md); ``items`` is how many invocations
+        # the step stood for.
+        ops_by_cycle = executor._ops_by_cycle
+        for cycle in range(1, total_cycles + 1):
+            telemetry.cycle_event(
+                "fold_step", base_cycle + cycle - 1, track=track,
+                ops=len(ops_by_cycle.get(cycle, ())), items=batch,
+            )
 
     outputs = {}
     for name, slot, shift, mask in plan.outputs:

@@ -19,7 +19,6 @@ import asyncio
 from typing import Dict, Optional
 
 from ..errors import ServiceError
-from ..freac.engine import EngineLike
 from ..service.jobs import JobResult
 from .gateway import FleetStats, Gateway, GatewayConfig
 from .protocol import JobSpec
@@ -57,7 +56,6 @@ class GatewayClient:
         slices: int = 1,
         timeout_s: Optional[float] = None,
         seed: int = 0,
-        engine: "EngineLike" = None,
         optimize: bool = False,
         opt_budget_s: Optional[float] = None,
     ) -> int:
@@ -75,7 +73,6 @@ class GatewayClient:
             slices=slices,
             timeout_s=timeout_s,
             seed=seed,
-            engine=engine,
             optimize=optimize,
             opt_budget_s=opt_budget_s,
         ))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..freac.engine import EngineLike, resolve_engine
 from ..service.jobs import JobResult
 
 
@@ -48,17 +47,8 @@ class JobSpec:
     slices: int = 1
     timeout_s: Optional[float] = None
     seed: int = 0
-    #: Any EngineLike (spec, name, or None = shard default); normalized
-    #: to the spec's name so the frame stays a plain string payload.
-    engine: EngineLike = None
     optimize: bool = False
     opt_budget_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.engine is not None:
-            object.__setattr__(
-                self, "engine", resolve_engine(self.engine).name
-            )
 
     def route_key(self) -> str:
         """The content-addressed program-cache coordinate this job
@@ -66,22 +56,17 @@ class JobSpec:
         jobs with equal keys reuse one compiled program, so the
         consistent-hash router keeps them shard-local.  Optimized jobs
         compile under a different cache entry, so they route as a
-        distinct coordinate too.  The engine is part of the key: a
-        shard wave runs under exactly one engine
-        (``JobRequest.batch_key``), so routing engine-pinned jobs
-        apart keeps each shard's waves homogeneous."""
+        distinct coordinate too."""
         key = (
             f"{self.benchmark.upper()}:k{self.lut_inputs}"
             f":t{self.mccs_per_tile}"
         )
-        if self.engine is not None:
-            key += f":e{self.engine}"
         if self.optimize:
             key += ":opt"
         return key
 
     def submit_kwargs(self) -> Dict[str, object]:
-        kwargs: Dict[str, object] = {
+        return {
             "priority": self.priority,
             "mccs_per_tile": self.mccs_per_tile,
             "lut_inputs": self.lut_inputs,
@@ -91,9 +76,6 @@ class JobSpec:
             "optimize": self.optimize,
             "opt_budget_s": self.opt_budget_s,
         }
-        if self.engine is not None:
-            kwargs["engine"] = self.engine
-        return kwargs
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ effective clock is CacheClock / fold-count (paper Sec. IV).
 This package is that optimizer: area-flow cut re-covering
 (:mod:`~repro.optimizer.cuts`), LP-style lower bounds
 (:mod:`~repro.optimizer.bounds`), a time-boxed pure-python
-branch-and-bound (:mod:`~repro.optimizer.search`) with an optional
-ortools CP-SAT backend (:mod:`~repro.optimizer.cpsat`), and a rebuild
+branch-and-bound (:mod:`~repro.optimizer.search`), and a rebuild
 step emitting standard schedules (:mod:`~repro.optimizer.rebuild`) —
 orchestrated by :func:`optimize_schedule`, which never returns more
 folds than the heuristic.  ``freac optimize`` is the CLI; see
@@ -18,24 +17,17 @@ docs/optimizer.md.
 """
 
 from .bounds import build_graph, lower_bound
-from .config import (
-    BACKENDS,
-    OPTIMIZER_VERSION,
-    OptimizerConfig,
-    cpsat_available,
-)
+from .config import OPTIMIZER_VERSION, OptimizerConfig
 from .core import OptimizationOutcome, optimize_schedule
 from .cuts import area_remap
 from .rebuild import rebuild_schedule
 
 __all__ = [
-    "BACKENDS",
     "OPTIMIZER_VERSION",
     "OptimizationOutcome",
     "OptimizerConfig",
     "area_remap",
     "build_graph",
-    "cpsat_available",
     "lower_bound",
     "optimize_schedule",
     "rebuild_schedule",

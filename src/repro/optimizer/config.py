@@ -25,26 +25,11 @@ from ..errors import OptimizerError
 #: unreachable instead of silently wrong.
 OPTIMIZER_VERSION = 1
 
-#: ``auto`` resolves to ``cpsat`` when ortools is importable, else the
-#: pure-python branch-and-bound.
-BACKENDS = ("auto", "bnb", "cpsat")
-
-
-def cpsat_available() -> bool:
-    """True when the optional ortools CP-SAT solver is importable."""
-    try:
-        from ortools.sat.python import cp_model  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Every knob of one optimization pass (frozen, hashable)."""
 
     enabled: bool = True
-    backend: str = "auto"
     #: Wall-clock budget for the optimization work (remap + search).
     #: The pass is *time-boxed*: whatever the deadline interrupts, the
     #: heuristic schedule is always available.  The final lint gate on
@@ -60,7 +45,7 @@ class OptimizerConfig:
     #: classic ABC-style choice).
     remap_iterations: int = 2
     #: Randomized greedy restarts per candidate makespan in the
-    #: branch-and-bound backend.
+    #: branch-and-bound search.
     restarts: int = 64
     #: Instances up to this many ops get the exhaustive feasibility
     #: search (which can *prove* optimality); larger ones rely on the
@@ -69,11 +54,6 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise OptimizerError(
-                f"unknown optimizer backend {self.backend!r}; "
-                f"known: {', '.join(BACKENDS)}"
-            )
         if self.budget_s <= 0:
             raise OptimizerError("optimizer budget must be positive")
         if self.cut_limit < 1:
@@ -82,25 +62,6 @@ class OptimizerConfig:
             raise OptimizerError("remap iterations must be >= 0")
         if self.restarts < 0:
             raise OptimizerError("restarts must be >= 0")
-
-    def resolve_backend(self) -> str:
-        """The concrete solver this config runs: ``bnb`` or ``cpsat``.
-
-        Asking for ``cpsat`` without ortools installed is a
-        configuration error (raised here, eagerly, so a misconfigured
-        service fails at construction, not per job); ``auto`` degrades
-        to the pure-python branch-and-bound silently.
-        """
-        if self.backend == "bnb":
-            return "bnb"
-        if self.backend == "cpsat":
-            if not cpsat_available():
-                raise OptimizerError(
-                    "backend 'cpsat' requires ortools, which is not "
-                    "installed; use backend='auto' or 'bnb'"
-                )
-            return "cpsat"
-        return "cpsat" if cpsat_available() else "bnb"
 
     def digest(self) -> str:
         """Content hash over every behaviour-relevant knob."""

@@ -6,11 +6,10 @@ one wall-clock budget it
 1. takes (or builds) the heuristic list schedule as the incumbent,
 2. re-covers the netlist with area-flow-ranked cuts
    (:mod:`repro.optimizer.cuts`) and re-schedules the smaller netlist,
-3. runs the configured makespan-minimization backend
-   (:mod:`repro.optimizer.search` or :mod:`repro.optimizer.cpsat`) on
-   the best candidate so far, re-running the spill pass per candidate
-   so comparisons are on **fold cycles** — the paper's N — never on
-   compute cycles alone (a shorter op grid that spills more is a
+3. runs the branch-and-bound makespan minimization
+   (:mod:`repro.optimizer.search`) on the best candidate so far,
+   re-running the spill pass per candidate so comparisons are on
+   **fold cycles** — the paper's N — never on compute cycles alone (a shorter op grid that spills more is a
    regression, and early prototypes hit exactly that on SRT),
 4. gates any would-be winner through strict schedule validation plus
    the DF dataflow rule pack; findings reject it (``optimizer.rejected``
@@ -53,7 +52,6 @@ class OptimizationOutcome:
     heuristic_fold_cycles: int
     optimized_fold_cycles: int
     lower_bound: int
-    backend: str
     improved: bool = False
     proven_optimal: bool = False
     remapped: bool = False
@@ -77,7 +75,6 @@ class OptimizationOutcome:
             "optimized_fold_cycles": self.optimized_fold_cycles,
             "lower_bound": self.lower_bound,
             "bound_gap": self.bound_gap,
-            "backend": self.backend,
             "improved": self.improved,
             "proven_optimal": self.proven_optimal,
             "remapped": self.remapped,
@@ -120,7 +117,6 @@ def optimize_schedule(
     optimization work only, and the fallback must always exist.
     """
     config = config or OptimizerConfig()
-    backend = config.resolve_backend()
     tel = resolve(telemetry)
     if heuristic is None:
         heuristic = list_schedule(netlist, resources)
@@ -128,7 +124,7 @@ def optimize_schedule(
     deadline = start + config.budget_s
 
     best = heuristic
-    algorithm = f"opt-{backend}"
+    algorithm = "opt-bnb"
     state = {"time_to_best": 0.0, "remapped_used": False}
 
     def consider(candidate: FoldingSchedule, *, remapped: bool) -> None:
@@ -193,34 +189,17 @@ def optimize_schedule(
                 remapped=search_netlist is not netlist,
             )
 
-        if backend == "cpsat":
-            from .cpsat import minimize_makespan_cpsat
-
-            hint = {
-                op.nid: op.cycle for op in incumbent.ops
-            } if incumbent.netlist is search_netlist else None
-            cycle_of, _, cpsat_proven = minimize_makespan_cpsat(
-                graph, resources,
-                upper=incumbent.compute_cycles, lower=bound,
-                budget_s=remaining, hint=hint, seed=config.seed,
-            )
-            if cycle_of is not None:
-                on_improve(cycle_of, max(cycle_of.values(), default=0))
-            proven = proven or cpsat_proven
-            if clock() >= deadline:
-                timed_out = True
-        else:
-            info = minimize_makespan(
-                graph, resources,
-                upper=incumbent.compute_cycles, lower=bound,
-                restarts=config.restarts,
-                exhaustive_op_limit=config.exhaustive_op_limit,
-                seed=config.seed,
-                deadline=deadline, clock=clock,
-                on_improve=on_improve,
-            )
-            proven = proven or info.proven_optimal
-            timed_out = timed_out or info.timed_out
+        info = minimize_makespan(
+            graph, resources,
+            upper=incumbent.compute_cycles, lower=bound,
+            restarts=config.restarts,
+            exhaustive_op_limit=config.exhaustive_op_limit,
+            seed=config.seed,
+            deadline=deadline, clock=clock,
+            on_improve=on_improve,
+        )
+        proven = proven or info.proven_optimal
+        timed_out = timed_out or info.timed_out
     elif remaining <= 0:
         timed_out = True
 
@@ -246,23 +225,22 @@ def optimize_schedule(
     if tel.enabled:
         tel.counter(
             "optimizer.runs", "optimization passes attempted"
-        ).inc(backend=backend)
+        ).inc()
         if improved:
             tel.counter(
                 "optimizer.improved", "passes that beat the heuristic"
-            ).inc(backend=backend)
+            ).inc()
         if rejected:
             tel.counter(
                 "optimizer.rejected",
                 "optimized schedules rejected by the lint gate",
-            ).inc(backend=backend)
+            ).inc()
 
     return OptimizationOutcome(
         schedule=best,
         heuristic_fold_cycles=heuristic.fold_cycles,
         optimized_fold_cycles=best.fold_cycles,
         lower_bound=bound,
-        backend=backend,
         improved=improved,
         # "Proven" means: the search (or the bound itself) certified
         # the served schedule's compute makespan is minimal for its

@@ -14,9 +14,9 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from .config import BACKENDS, OPTIMIZER_VERSION, OptimizerConfig
+from .config import OPTIMIZER_VERSION, OptimizerConfig
 
 
 def optimize_benchmark(
@@ -55,7 +55,7 @@ def _format_rows(rows: List[Dict[str, object]]) -> str:
     from ..experiments.common import format_table
 
     headers = ("benchmark", "heur", "opt", "delta", "bound", "gap",
-               "LUTs", "backend", "best@s", "total s")
+               "LUTs", "best@s", "total s")
     table = []
     for row in rows:
         heur = row["heuristic_fold_cycles"]
@@ -70,7 +70,7 @@ def _format_rows(rows: List[Dict[str, object]]) -> str:
         table.append((
             row["benchmark"], heur, opt,
             f"{delta:+d}" if delta else "0",
-            row["lower_bound"], gap, luts, row["backend"],
+            row["lower_bound"], gap, luts,
             f"{row['time_to_best_s']:.2f}", f"{row['elapsed_s']:.2f}",
         ))
     return format_table(headers, table)
@@ -78,7 +78,6 @@ def _format_rows(rows: List[Dict[str, object]]) -> str:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     """Exit codes: 0 gates pass, 1 a gate fails, 2 bad invocation."""
-    from ..errors import OptimizerError
     from ..workloads.suite import benchmark_names
 
     names = benchmark_names()
@@ -95,14 +94,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             return 2
         targets = [target]
 
-    config = OptimizerConfig(
-        backend=args.backend, budget_s=args.budget_s, seed=args.seed
-    )
-    try:
-        backend = config.resolve_backend()
-    except OptimizerError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = OptimizerConfig(budget_s=args.budget_s, seed=args.seed)
 
     rows: List[Dict[str, object]] = []
     for name in targets:
@@ -125,7 +117,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
              if row["optimized_fold_cycles"] > row["heuristic_fold_cycles"]]
     summary = {
         "optimizer_version": OPTIMIZER_VERSION,
-        "backend": backend,
         "budget_s": args.budget_s,
         "mccs": args.mccs,
         "benchmarks": len(rows),
@@ -146,7 +137,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"\n{improved}/{len(rows)} improved, "
           f"{summary['proven_optimal']} proven optimal, "
           f"{summary['rejected']} rejected "
-          f"(backend {backend}, budget {args.budget_s:g}s)")
+          f"(budget {args.budget_s:g}s)")
 
     if args.check:
         if worse:
@@ -177,9 +168,6 @@ def add_parsers(sub: "argparse._SubParsersAction") -> None:
                      help="MCCs per accelerator tile (default 1)")
     opt.add_argument("--lut-inputs", type=int, default=5,
                      choices=(4, 5), help="LUT width (default 5)")
-    opt.add_argument("--backend", choices=BACKENDS, default="auto",
-                     help="search backend (default: cpsat when ortools "
-                     "is installed, else the pure-python bnb)")
     opt.add_argument("--budget-s", type=float,
                      default=OptimizerConfig().budget_s,
                      help="optimization time box per benchmark, seconds")

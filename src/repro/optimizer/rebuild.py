@@ -1,12 +1,12 @@
 """Rebuild a standard :class:`FoldingSchedule` from a cycle assignment.
 
-The search backends produce only ``nid -> cycle``; this step assigns
+The makespan search produces only ``nid -> cycle``; this step assigns
 physical slots (the same ``(mcc, unit)`` layout the heuristic
 schedulers use), re-runs the register-pressure spill pass so the
 optimized schedule pays the same scratchpad charges, and emits a plain
 :class:`~repro.folding.schedule.FoldingSchedule` — downstream
-(validation, the DF rule pack, certificates, both execution engines,
-the bitstream generator) cannot tell an optimized schedule from a
+(validation, the DF rule pack, certificates, the compiled plan and the
+reference executor, the bitstream generator) cannot tell an optimized schedule from a
 heuristic one except by its ``algorithm`` tag.
 """
 
@@ -39,7 +39,7 @@ def rebuild_schedule(
 
     Raises :class:`OptimizerError` if the assignment overfills a slot
     class in any cycle or violates a dependence edge — the rebuilder
-    trusts no backend.
+    trusts no search.
     """
     if preds is None or succs is None:
         from ..folding.scheduler import op_dependences

@@ -2,9 +2,9 @@
 
 The CLI front ends (``freac run``, ``freac submit``, ``freac serve``,
 ``freac trace``, ``freac metrics``) all accept the same cluster of
-options — benchmark, batch size, tile shape, LUT width, execution
-engine, seed — but used to pull them out of ``argparse`` namespaces
-ad hoc, each with its own defaults.  ``RunRequest`` consolidates them:
+options — benchmark, batch size, tile shape, LUT width, seed — but
+used to pull them out of ``argparse`` namespaces ad hoc, each with its
+own defaults.  ``RunRequest`` consolidates them:
 one frozen, validated dataclass built once (usually via
 :meth:`RunRequest.from_args`) and handed to whichever layer executes
 it — :meth:`repro.service.AcceleratorService.submit_request` or
@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
 from .errors import RequestError
-from .freac.engine import EngineLike, resolve_engine
 
 
 @dataclass(frozen=True)
@@ -29,10 +28,6 @@ class RunRequest:
     items: int = 8
     mccs_per_tile: int = 1
     lut_inputs: int = 5
-    #: Accepts any EngineLike (spec, bare name, or None for the
-    #: default) and normalizes to the spec's name, so the frozen
-    #: request stays a plain picklable string bundle.
-    engine: EngineLike = None
     seed: int = 0
     slices: int = 1                    # device slices the job spans
     priority: int = 0
@@ -44,7 +39,6 @@ class RunRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "benchmark", self.benchmark.upper())
-        object.__setattr__(self, "engine", resolve_engine(self.engine).name)
         if self.items < 1:
             raise RequestError("a run needs at least one item")
         if self.mccs_per_tile < 1:
@@ -61,7 +55,6 @@ class RunRequest:
         "items": ("items",),
         "mccs_per_tile": ("tile", "mccs_per_tile"),
         "lut_inputs": ("lut_inputs",),
-        "engine": ("engine",),
         "seed": ("seed",),
         "slices": ("job_slices",),
         "priority": ("priority",),
@@ -98,7 +91,6 @@ class RunRequest:
             "slices": self.slices,
             "timeout_s": self.timeout_s,
             "seed": self.seed,
-            "engine": self.engine,
             "optimize": self.optimize,
             "opt_budget_s": self.opt_budget_s,
         }

@@ -11,12 +11,15 @@ drains, and prints per-job lines plus a stats summary.
 Request line grammar (``#`` starts a comment)::
 
     BENCH ITEMS [key=value ...]
-    # keys: priority, tile, lut, slices, seed, timeout, engine,
-    #       optimize, opt_budget
+    # keys: priority, tile, lut, slices, seed, timeout, optimize,
+    #       opt_budget
     GEMM 8 priority=2 slices=2
     AES 4 timeout=30
-    DOT 16 engine=reference
+    NW 16 lut=4
     SORT 8 optimize=1 opt_budget=4
+
+Any other key fails the line with a ``RequestError`` that lists the
+known keys.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import IO, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError, RequestError
 from ..freac.compute_slice import SlicePartition
-from ..freac.engine import DEFAULT_ENGINE, ENGINES, validate_engine
 from ..params import scaled_system
 from ..request import RunRequest
 from .jobs import Job, JobState
@@ -50,7 +52,6 @@ _KEYS = {
     "slices": ("slices", int),
     "seed": ("seed", int),
     "timeout": ("timeout_s", float),
-    "engine": ("engine", validate_engine),
     "optimize": ("optimize", _parse_bool),
     "opt_budget": ("opt_budget_s", float),
 }
@@ -266,9 +267,6 @@ def add_parsers(sub: "argparse._SubParsersAction") -> None:
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--lut-inputs", type=int, default=5,
                         help="LUT width the program is mapped to")
-    submit.add_argument("--engine", choices=ENGINES, default=None,
-                        help="execution engine from the EngineSpec "
-                        f"registry (default: {DEFAULT_ENGINE})")
     submit.add_argument("--optimize", action="store_true",
                         help="serve the fold-count-minimized program "
                         "(compiled once, then cached)")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import AnalysisReport
-from ..freac.engine import EngineLike, resolve_engine
 from ..workloads.datagen import Dataset
 
 
@@ -50,26 +49,18 @@ class JobRequest:
     timeout_s: Optional[float] = None  # queue-wait deadline
     seed: int = 0
     dataset: Optional[Dataset] = None
-    #: Any EngineLike (spec, name, or None); normalized to the spec's
-    #: name so requests stay picklable (docs/execution.md).
-    engine: EngineLike = None
     optimize: bool = False             # fold-count-minimized program
     opt_budget_s: Optional[float] = None  # optimizer time box override
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "engine", resolve_engine(self.engine).name)
 
     def batch_key(self) -> Tuple:
         """Jobs with equal keys can share one programmed accelerator.
 
-        The engine is part of the key: a wave runs under exactly one
-        engine, so jobs pinned to different engines never merge.  The
-        optimizer knobs are too — different budgets compile to
-        different cache entries, and a wave is programmed from exactly
-        one of them.
+        The optimizer knobs are part of the key: different budgets
+        compile to different cache entries, and a wave is programmed
+        from exactly one of them.
         """
         return (self.benchmark, self.lut_inputs, self.mccs_per_tile,
-                self.slices, self.engine, self.optimize, self.opt_budget_s)
+                self.slices, self.optimize, self.opt_budget_s)
 
 
 @dataclass

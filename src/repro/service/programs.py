@@ -60,12 +60,13 @@ from ..telemetry.core import resolve
 
 logger = logging.getLogger("repro.service")
 
-# v4: the specialized-engine plan artifact rides along, content-
-# addressed by its digest and verified against the schedule at load
-# (v3 added the optimizer token + audit stats, v2 the dataflow report
-# + analysis certificate).  Old entries fail from_dict, get
-# quarantined, and recompile once — acceptable for a cache.
-DISK_FORMAT_VERSION = 4
+# v5: optimizer tokens no longer hash a solver-backend knob, so v4
+# optimized entries sit under stale keys.  v4 added the compiled-plan
+# artifact (content-addressed by its digest and verified against the
+# schedule at load), v3 the optimizer token + audit stats, v2 the
+# dataflow report + analysis certificate.  Old entries fail from_dict,
+# get quarantined, and recompile once — acceptable for a cache.
+DISK_FORMAT_VERSION = 5
 
 
 class ProgramKey(NamedTuple):
@@ -126,12 +127,13 @@ class CompiledProgram:
     #: Audit record from the optimization pass (fold counts, bound gap,
     #: timings, rejection reasons) — None for heuristic compiles.
     opt_stats: Optional[Dict] = None
-    #: The specialized-engine plan artifact
+    #: The compiled-plan artifact
     #: (:func:`repro.freac.specialize.plan_artifact`): the plan's
     #: content digest + shape for supported netlists, or
-    #: ``{"supported": False, "reason": ...}``.  Computed lazily on
-    #: first serialisation, verified against a deterministic rebuild on
-    #: every disk load.
+    #: ``{"supported": False, "reason": ...}``.  Built by
+    #: :func:`compile_program` (which also caches the plan on the
+    #: schedule, so the first wave runs it for free) and verified
+    #: against a deterministic rebuild on every disk load.
     specialized: Optional[Dict] = None
     #: Runtime-only: this process verified the certificate (or issued
     #: it fresh), so repeat warm hits skip even the digest hash.
@@ -194,10 +196,6 @@ class CompiledProgram:
     # -- (de)serialisation — the on-disk cache layer --------------------
 
     def to_dict(self) -> Dict:
-        if self.specialized is None:
-            # Building the plan also caches it on the schedule object,
-            # so the serving layer's first specialized run is free.
-            self.specialized = plan_artifact(self.schedule)
         data = {
             "version": DISK_FORMAT_VERSION,
             "benchmark": self.benchmark,
@@ -305,6 +303,7 @@ def compile_program(
         dataflow_report=analyze_dataflow(schedule),
         optimizer=token,
         opt_stats=opt_stats,
+        specialized=plan_artifact(schedule),
     )
     program.certificate = issue_certificate(program.schedule, program.reports)
     program.cert_verified = True

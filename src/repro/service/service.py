@@ -49,7 +49,6 @@ from ..circuits.library import build_pe
 from ..errors import CapacityError, ReproError, RequestError, ServiceError
 from ..freac.compute_slice import SlicePartition
 from ..freac.device import FreacDevice
-from ..freac.engine import EngineLike, resolve_engine
 from ..freac.runner import plan_layout
 from ..freac.session import ExecutionSession
 from ..freac.timing import kernel_timing
@@ -112,7 +111,6 @@ class AcceleratorService:
         batching: bool = True,
         max_batch_items: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
-        engine: EngineLike = None,
         optimizer: Optional[OptimizerConfig] = None,
         workers: int = 0,
         max_queue_depth: Optional[int] = None,
@@ -161,15 +159,8 @@ class AcceleratorService:
         self.retry_jitter = retry_jitter
         self.batching = batching
         self.max_batch_items = max_batch_items
-        #: The fleet-default engine name; per-job requests
-        #: may override it (any EngineLike is accepted and
-        #: normalized, docs/execution.md).
-        self.engine = resolve_engine(engine).name
-        #: Base config for ``submit(..., optimize=True)`` jobs; resolved
-        #: eagerly so a cpsat pin without ortools fails at construction,
-        #: not on the first optimizing submission.
+        #: Base config for ``submit(..., optimize=True)`` jobs.
         self.optimizer = optimizer or OptimizerConfig()
-        self.optimizer.resolve_backend()
         #: Emulated device-busy time per wave: the host blocks this long
         #: after each wave's compute, standing in for the interval the
         #: cache-side accelerator would own the work (the simulator
@@ -264,7 +255,6 @@ class AcceleratorService:
         timeout_s: Optional[float] = None,
         seed: int = 0,
         dataset: Optional[Dataset] = None,
-        engine: EngineLike = None,
         optimize: bool = False,
         opt_budget_s: Optional[float] = None,
     ) -> Job:
@@ -326,8 +316,6 @@ class AcceleratorService:
             benchmark=benchmark.upper(), items=items, priority=priority,
             mccs_per_tile=mccs_per_tile, lut_inputs=lut_inputs,
             slices=slices, timeout_s=timeout_s, seed=seed, dataset=dataset,
-            engine=resolve_engine(engine).name if engine is not None
-            else self.engine,
             optimize=optimize, opt_budget_s=opt_budget_s,
         )
         with self._lock:
@@ -498,13 +486,15 @@ class AcceleratorService:
                     self._finish(job, JobState.FAILED,
                                  error=f"{type(exc).__name__}: {exc}")
                     finished += 1
-                if isinstance(exc, ReproError):
-                    logger.warning(
-                        "programming a wave of %d job(s) failed: %s",
-                        len(live), exc,
-                    )
-                    continue
-                raise
+                if not isinstance(exc, Exception):
+                    raise
+                # Anything else is contained, as a worker contains it:
+                # raising would strand the waves opened above.
+                logger.warning(
+                    "programming a wave of %d job(s) failed: %s",
+                    len(live), exc, exc_info=not isinstance(exc, ReproError),
+                )
+                continue
             now = time.perf_counter()
             for job in live:
                 job.state = JobState.RUNNING
@@ -525,6 +515,11 @@ class AcceleratorService:
                 finished += self._execute_wave(
                     wave.jobs, wave.compiled, wave.session, wave=wave
                 )
+            except Exception as exc:
+                # The same last resort as a crashed worker: a bug below
+                # the wave runner costs this wave, never the pool.
+                logger.exception("wave of %d job(s) crashed", len(wave.jobs))
+                finished += self._abandon_wave(wave, exc)
             finally:
                 self._close_wave_session(wave)
                 self._release_wave(wave)
@@ -648,11 +643,9 @@ class AcceleratorService:
         """
         placement, compiled = wave.placement, wave.compiled
         device = self.devices[placement.device]
-        engine = wave.jobs[0].request.engine
         if self.elastic is None:
             session = ExecutionSession(
-                device, self.partition,
-                slices=placement.slices, engine=engine,
+                device, self.partition, slices=placement.slices,
             )
             session.__enter__()
             # Admission already linted this program's schedule (the
@@ -672,8 +665,7 @@ class AcceleratorService:
         )
         wave.lease = lease
         session = ExecutionSession(
-            device, lease.partition,
-            slices=placement.slices, engine=engine,
+            device, lease.partition, slices=placement.slices,
             attach=True, release=False,
         )
         try:
@@ -738,14 +730,19 @@ class AcceleratorService:
         if self.workers is not None:
             self.workers.kick()
 
-    def _abandon_wave(self, wave: Wave, error: str) -> None:
-        """Last resort when a worker's wave runner itself crashed:
-        fail whatever jobs are not terminal yet and free the slices, so
-        a bug in the runner costs one wave, never the pool."""
+    def _abandon_wave(self, wave: Wave, exc: Exception) -> int:
+        """Last resort when a wave crashed with an unexpected exception
+        (sync pump or worker alike): fail whatever jobs are not
+        terminal yet, naming the exception, and free the slices, so a
+        bug costs one wave, never the pool.  Returns jobs failed."""
+        error = f"wave crashed: {type(exc).__name__}: {exc}"
+        failed = 0
         for job in wave.jobs:
             if not job.done:
                 self._finish(job, JobState.FAILED, error=error)
+                failed += 1
         self._release_wave(wave)
+        return failed
 
     # ------------------------------------------------------------------
     # Execution

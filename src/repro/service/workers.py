@@ -155,9 +155,7 @@ class WorkerPool:
                     "worker %d: wave of %d job(s) crashed", index,
                     len(wave.jobs),
                 )
-                service._abandon_wave(
-                    wave, error=f"worker crashed: {type(exc).__name__}: {exc}"
-                )
+                service._abandon_wave(wave, exc)
             finally:
                 self._wave_done()
 

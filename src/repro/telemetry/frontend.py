@@ -172,10 +172,6 @@ def add_parsers(sub: "argparse._SubParsersAction") -> None:
                             help="LLC slices per device")
         parser.add_argument("--max-events", type=int, default=200_000,
                             help="tracer event budget before dropping")
-        from ..freac.engine import ENGINES
-
-        parser.add_argument("--engine", choices=ENGINES, default=None,
-                            help="execution engine (default: vectorized)")
 
     trace = sub.add_parser(
         "trace", help="run a benchmark and write a Chrome/Perfetto trace"

@@ -1,11 +1,12 @@
-"""specialized ≡ vectorized ≡ reference, bit for bit.
+"""compiled plan ≡ reference loop, bit for bit.
 
-Every engine in the registry (docs/execution.md) must be
-indistinguishable from the scalar per-item loop in *everything* the
-model exposes: outputs, stores, scratchpad contents, executor stats,
-and every access counter down to the individual sub-arrays.  These
-tests hold the engines side by side on identical hardware state and
-diff all of it — including the compiled-plan fast path.
+The production path (``FoldedExecutor.run_batch``, the compiled plan
+of docs/execution.md) must be indistinguishable from the scalar
+per-item loop (``run_batch_reference``, the oracle) in *everything*
+the model exposes: outputs, stores, scratchpad contents, executor
+stats, and every access counter down to the individual sub-arrays.
+These tests run the two side by side on identical hardware state and
+diff all of it.
 """
 
 import random
@@ -20,79 +21,74 @@ from repro.circuits.library import build_pe, mapped_pe, pe_names
 from repro.errors import DeviceError
 from repro.folding import TileResources, list_schedule
 from repro.freac.compute_slice import ReconfigurableComputeSlice, SlicePartition
-from repro.freac.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
+from repro.freac.executor import (
     BatchResult,
-    validate_engine,
+    ExecutionStats,
+    FoldedExecutor,
+    StreamBinding,
 )
-from repro.freac.executor import ExecutionStats, FoldedExecutor, StreamBinding
 from repro.freac.mcc import MicroComputeCluster
 from repro.params import SubarrayParams
 
 FAST_PES = [name for name in pe_names() if name != "AES"]
+PATHS = ("reference", "specialized")
 
 
-def make_tile(mccs, params=None):
+def make_tile(mccs, params=None, lut_inputs=5):
     return [
-        MicroComputeCluster(i, [Subarray(params) for _ in range(4)])
+        MicroComputeCluster(i, [Subarray(params) for _ in range(4)],
+                            lut_inputs=lut_inputs)
         for i in range(mccs)
     ]
 
 
-def make_pair(schedule, mccs, params=None):
-    """Two executors on identical fresh hardware sharing one config."""
-    reference = FoldedExecutor(schedule, make_tile(mccs, params))
-    vectorized = FoldedExecutor(
-        schedule, make_tile(mccs, params), config=reference.config
+def make_executors(schedule, mccs, params=None):
+    """The oracle and the plan path on identical fresh hardware."""
+    k = schedule.resources.lut_inputs
+    reference = FoldedExecutor(schedule, make_tile(mccs, params, k))
+    plan = FoldedExecutor(
+        schedule, make_tile(mccs, params, k), config=reference.config
     )
     reference.load_configuration()
-    vectorized.load_configuration()
-    return reference, vectorized
+    plan.load_configuration()
+    return {"reference": reference, "specialized": plan}
 
 
-def make_executors(schedule, mccs, params=None):
-    """One executor per registered engine on identical fresh hardware."""
-    reference = FoldedExecutor(schedule, make_tile(mccs, params))
-    executors = {"reference": reference}
-    for engine in ENGINES:
-        if engine not in executors:
-            executors[engine] = FoldedExecutor(
-                schedule, make_tile(mccs, params), config=reference.config
-            )
-    for executor in executors.values():
-        executor.load_configuration()
-    return executors
+def run_path(executor, path, batch, **kwargs):
+    """``run_batch`` for the plan path, the scalar loop for the oracle."""
+    if path == "reference":
+        return executor.run_batch_reference(batch, **kwargs)
+    return executor.run_batch(batch, **kwargs)
 
 
 def run_all(executors, batch, **kwargs):
     return {
-        engine: executor.run_batch(batch, engine=engine, **kwargs)
-        for engine, executor in executors.items()
+        path: run_path(executor, path, batch, **kwargs)
+        for path, executor in executors.items()
     }
 
 
 def assert_all_equivalent(executors, results):
-    """Three-way diff: every engine against the reference loop."""
+    """Two-way diff: the plan against the reference loop."""
     reference = results["reference"]
-    expected = counters(executors["reference"])
-    for engine, result in results.items():
-        if engine == "reference":
-            continue
-        assert result.engine == engine
-        assert reference.outputs.keys() == result.outputs.keys()
-        for name in reference.outputs:
-            np.testing.assert_array_equal(
-                reference.outputs[name], result.outputs[name],
-                err_msg=f"{engine}: output {name!r}",
-            )
-        assert reference.stores.keys() == result.stores.keys()
-        for stream in reference.stores:
-            np.testing.assert_array_equal(
-                reference.stores[stream], result.stores[stream],
-                err_msg=f"{engine}: store {stream!r}",
-            )
-        assert counters(executors[engine]) == expected, engine
+    result = results["specialized"]
+    assert reference.engine == "reference"
+    assert result.engine == "specialized"
+    assert reference.outputs.keys() == result.outputs.keys()
+    for name in reference.outputs:
+        np.testing.assert_array_equal(
+            reference.outputs[name], result.outputs[name],
+            err_msg=f"output {name!r}",
+        )
+    assert reference.stores.keys() == result.stores.keys()
+    for stream in reference.stores:
+        np.testing.assert_array_equal(
+            reference.stores[stream], result.stores[stream],
+            err_msg=f"store {stream!r}",
+        )
+    assert counters(executors["specialized"]) == counters(
+        executors["reference"]
+    )
 
 
 def counters(executor):
@@ -126,24 +122,6 @@ def random_streams(pe, batch, rng):
     }
 
 
-class TestEngineSelector:
-    def test_known_engines(self):
-        assert DEFAULT_ENGINE in ENGINES
-        for engine in ENGINES:
-            assert validate_engine(engine) == engine
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(DeviceError):
-            validate_engine("turbo")
-
-    def test_run_batch_rejects_unknown_engine(self):
-        schedule = list_schedule(mapped_pe("VADD"), TileResources())
-        executor = FoldedExecutor(schedule, make_tile(1))
-        executor.load_configuration()
-        with pytest.raises(DeviceError):
-            executor.run_batch(2, engine="turbo")
-
-
 class TestBenchmarkEquivalence:
     @pytest.mark.parametrize("name", FAST_PES)
     def test_batch_matches_reference_and_simulation(self, name):
@@ -165,17 +143,18 @@ class TestBenchmarkEquivalence:
         for lane in range(batch):
             lane_streams = {s: streams[s][lane] for s in streams}
             expected = simulate(netlist, streams=lane_streams)
-            for engine in ENGINES:
-                assert results[engine].item_stores(lane) == expected.stores
+            for path in PATHS:
+                assert results[path].item_stores(lane) == expected.stores
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         batch=st.integers(min_value=1, max_value=64),
+        lut_inputs=st.sampled_from((4, 5)),
     )
     @settings(max_examples=12, deadline=None)
-    def test_random_circuits_property(self, seed, batch):
-        """engine(batch) == [reference(item) for item in batch],
-        for every engine in the registry."""
+    def test_random_circuits_property(self, seed, batch, lut_inputs):
+        """plan(batch) == [reference(item) for item in batch], in both
+        LUT modes (4-LUT mode packs two tables per row)."""
         rng = random.Random(seed)
         builder = CircuitBuilder(f"rand{seed}")
         a = builder.bus_load("in")
@@ -187,7 +166,7 @@ class TestBenchmarkEquivalence:
                         else builder.and_(x, y))
         word = builder.word_from_bits(bits[-16:])
         builder.bus_store("out", builder.mac(word, a, b))
-        netlist = technology_map(builder.netlist, k=5).netlist
+        netlist = technology_map(builder.netlist, k=lut_inputs).netlist
         streams = {
             "in": [
                 [rng.getrandbits(32), rng.getrandbits(32)]
@@ -195,7 +174,9 @@ class TestBenchmarkEquivalence:
             ]
         }
         mccs = rng.choice((1, 2, 4))
-        schedule = list_schedule(netlist, TileResources(mccs=mccs))
+        schedule = list_schedule(
+            netlist, TileResources(mccs=mccs, lut_inputs=lut_inputs)
+        )
         executors = make_executors(schedule, mccs=mccs)
         results = run_all(executors, batch, streams=streams)
         assert_all_equivalent(executors, results)
@@ -224,11 +205,11 @@ class TestSegmentedEquivalence:
         streams = {"in": [[0b1011 + i] for i in range(batch)]}
         results = run_all(executors, batch, streams=streams)
         assert_all_equivalent(executors, results)
-        # The reference engine rewinds to segment 0 for every item
-        # after the first; the batch engines charge the same.
-        for engine in ENGINES:
-            assert (executors[engine].stats.config_reloads
-                    == batch * (reference.segments - 1)), engine
+        # The reference loop rewinds to segment 0 for every item after
+        # the first; the plan charges the same.
+        for path in PATHS:
+            assert (executors[path].stats.config_reloads
+                    == batch * (reference.segments - 1)), path
 
     def test_second_batch_rewind_accounting(self):
         """Entering a batch with the last segment loaded still matches."""
@@ -238,9 +219,9 @@ class TestSegmentedEquivalence:
         for batch in (3, 2):  # second batch starts at segment != 0
             streams = {"in": [[batch * 17 + i] for i in range(batch)]}
             run_all(executors, batch, streams=streams)
-        expected = counters(executors["reference"])
-        for engine in ENGINES:
-            assert counters(executors[engine]) == expected, engine
+        assert counters(executors["specialized"]) == counters(
+            executors["reference"]
+        )
 
 
 class TestScratchpadEquivalence:
@@ -255,8 +236,8 @@ class TestScratchpadEquivalence:
         executor.load_configuration()
         return executor, compute_slice.scratchpad
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_batch_through_scratchpad(self, engine):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_batch_through_scratchpad(self, path):
         executor, pad = self._scratchpad_executor()
         pad.fill_words(0, [10, 20, 30])
         pad.fill_words(100, [1, 2, 3])
@@ -265,12 +246,12 @@ class TestScratchpadEquivalence:
             "b": StreamBinding(100, 1),
             "c": StreamBinding(200, 1),
         }
-        executor.run_batch(3, scratchpad_map=binding, engine=engine)
+        run_path(executor, path, 3, scratchpad_map=binding)
         assert pad.dump_words(200, 3) == [11, 22, 33]
 
     def test_scratchpad_access_counters_match(self):
         results = {}
-        for engine in ENGINES:
+        for path in PATHS:
             executor, pad = self._scratchpad_executor()
             pad.fill_words(0, [10, 20, 30])
             pad.fill_words(100, [1, 2, 3])
@@ -279,13 +260,11 @@ class TestScratchpadEquivalence:
                 "b": StreamBinding(100, 1),
                 "c": StreamBinding(200, 1),
             }
-            executor.run_batch(3, scratchpad_map=binding, engine=engine)
-            results[engine] = (pad.reads, pad.writes, counters(executor))
-        for engine in ENGINES:
-            assert results[engine] == results["reference"], engine
+            run_path(executor, path, 3, scratchpad_map=binding)
+            results[path] = (pad.reads, pad.writes, counters(executor))
+        assert results["specialized"] == results["reference"]
 
-    @pytest.mark.parametrize("engine", ("vectorized", "specialized"))
-    def test_explicit_item_indices_address_the_scratchpad(self, engine):
+    def test_explicit_item_indices_address_the_scratchpad(self):
         """Global item numbers, not lane positions, pick the region."""
         executor, pad = self._scratchpad_executor()
         pad.fill_words(0, [10, 20, 30])
@@ -295,7 +274,8 @@ class TestScratchpadEquivalence:
             "b": StreamBinding(100, 1),
             "c": StreamBinding(200, 1),
         }
-        executor.run_batch([2, 0], scratchpad_map=binding, engine=engine)
+        result = executor.run_batch([2, 0], scratchpad_map=binding)
+        assert result.engine == "specialized"
         assert pad.dump_words(200, 3) == [11, 0, 33]
 
 
@@ -311,12 +291,11 @@ class TestFallbacks:
         netlist = technology_map(builder.netlist, k=5).netlist
         return list_schedule(netlist, TileResources())
 
-    @pytest.mark.parametrize("engine", ("vectorized", "specialized"))
-    def test_sequential_netlist_falls_back_to_reference(self, engine):
+    def test_sequential_netlist_falls_back_to_reference(self):
         executor = FoldedExecutor(self._sequential_schedule(), make_tile(1))
         executor.load_configuration()
         streams = {"in": [[1], [1], [1]]}
-        result = executor.run_batch(3, streams=streams, engine=engine)
+        result = executor.run_batch(3, streams=streams)
         assert result.engine == "reference"
         # Alternating state proves the items really ran sequentially.
         assert [int(w) for w in result.stores["out"][:, 0]] == [1, 0, 1]
@@ -326,13 +305,25 @@ class TestFallbacks:
         executor.load_configuration()
         streams = {"in": [[1], [1]]}
         assert executor.stats.engine_fallbacks == 0
-        executor.run_batch(2, streams=streams, engine="specialized")
+        executor.run_batch(2, streams=streams)
         assert executor.stats.engine_fallbacks == 1
-        executor.run_batch(2, streams=streams, engine="vectorized")
+        executor.run_batch(2, streams=streams)
         assert executor.stats.engine_fallbacks == 2
-        executor.run_batch(2, streams=streams, engine="reference")
+        executor.run_batch_reference(2, streams=streams)
         assert executor.stats.engine_fallbacks == 2  # explicit, not a fall
         assert executor.stats.as_dict()["engine_fallbacks"] == 2
+
+    def test_ragged_streams_fall_back_to_reference(self):
+        schedule = list_schedule(mapped_pe("VADD"), TileResources())
+        executor = FoldedExecutor(schedule, make_tile(1))
+        executor.load_configuration()
+        # Lane 1 carries a spare word: no rectangular (batch, words) form.
+        result = executor.run_batch(
+            2, streams={"a": [[1], [2, 9]], "b": [[3], [4]]}
+        )
+        assert result.engine == "reference"
+        assert executor.stats.engine_fallbacks == 1
+        assert [int(w) for w in result.stores["c"][:, 0]] == [4, 6]
 
     def test_supported_specialized_run_counts_no_fallback(self):
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
@@ -340,32 +331,19 @@ class TestFallbacks:
         executor.load_configuration()
         result = executor.run_batch(
             2, streams={"a": [[1], [2]], "b": [[3], [4]]},
-            engine="specialized",
         )
         assert result.engine == "specialized"
         assert executor.stats.engine_fallbacks == 0
-
-    @pytest.mark.parametrize("engine", ("vectorized", "specialized"))
-    def test_trace_collection_falls_back_to_reference(self, engine):
-        schedule = list_schedule(mapped_pe("VADD"), TileResources())
-        executor = FoldedExecutor(schedule, make_tile(1))
-        executor.load_configuration()
-        streams = {"a": [[1], [2]], "b": [[3], [4]]}
-        result = executor.run_batch(2, streams=streams, engine=engine,
-                                    collect_trace=True)
-        assert result.engine == "reference"
-        assert len(result.traces) == 2
-        assert all(result.traces)
 
     def test_empty_batch_is_a_no_op(self):
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
         executor = FoldedExecutor(schedule, make_tile(1))
         executor.load_configuration()
-        result = executor.run_batch(0, engine="vectorized")
+        result = executor.run_batch(0)
         assert result.items == 0
         assert executor.stats.invocations == 0
 
-    def test_vectorized_requires_configuration(self):
+    def test_run_batch_requires_configuration(self):
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
         executor = FoldedExecutor(schedule, make_tile(1))
         with pytest.raises(DeviceError):
@@ -399,8 +377,8 @@ class TestBatchResult:
         bindings = {"a": 3, "b": [1, 2, 5]}  # scalar broadcast + lanes
         results = run_all(executors, 3, bindings=bindings)
         assert_all_equivalent(executors, results)
-        for engine in ENGINES:
-            stores = results[engine].stores["out"]
+        for path in PATHS:
+            stores = results[path].stores["out"]
             assert [int(w) for w in stores[:, 0]] == [3, 6, 15]
 
 
@@ -408,7 +386,7 @@ class TestExecutionStatsDict:
     def test_as_dict_is_plain_int_copy(self):
         """Snapshots must not alias live counters or leak numpy types."""
         stats = ExecutionStats()
-        stats.cycles += np.int64(5)  # a bulk charge, as the engine does
+        stats.cycles += np.int64(5)  # a bulk charge, as the plan does
         snapshot = stats.as_dict()
         assert all(type(value) is int for value in snapshot.values())
         snapshot["cycles"] = 999
@@ -417,7 +395,7 @@ class TestExecutionStatsDict:
         assert second["cycles"] == 5
         assert second is not snapshot
 
-    def test_as_dict_json_serialisable_after_vectorized_run(self):
+    def test_as_dict_json_serialisable_after_batch_run(self):
         import json
 
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
@@ -429,18 +407,18 @@ class TestExecutionStatsDict:
 
     def test_engines_share_no_mutable_state(self):
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
-        reference, vectorized = make_pair(schedule, mccs=1)
+        executors = make_executors(schedule, mccs=1)
+        reference, plan = executors["reference"], executors["specialized"]
         streams = {"a": [[1], [2]], "b": [[3], [4]]}
-        reference.run_batch(2, streams=streams, engine="reference")
-        before = vectorized.stats.as_dict()
+        reference.run_batch_reference(2, streams=streams)
+        before = plan.stats.as_dict()
         assert before["invocations"] == 0
-        vectorized.run_batch(2, streams=streams, engine="vectorized")
+        plan.run_batch(2, streams=streams)
         assert before["invocations"] == 0  # old snapshot untouched
-        assert vectorized.stats.as_dict() == reference.stats.as_dict()
+        assert plan.stats.as_dict() == reference.stats.as_dict()
 
 
 class TestBatchResultType:
     def test_default_construction(self):
-        empty = BatchResult(items=0, engine="vectorized")
+        empty = BatchResult(items=0, engine="specialized")
         assert empty.outputs == {} and empty.stores == {}
-        assert empty.traces == []

@@ -108,7 +108,8 @@ class TestStreamFaults:
 class TestCrossCheckWithSimulation:
     @pytest.mark.parametrize("name", ["NW", "SRT", "KMP"])
     def test_executor_never_silently_diverges(self, name):
-        """Same streams through both engines, several times over."""
+        """Same streams through the executor and the simulator,
+        several times over."""
         executor, schedule = make_executor(name, mccs=2)
         from repro.workloads.datagen import dataset_for
 

@@ -106,3 +106,51 @@ class TestConfigVerification:
 
         with pytest.raises(DeviceError):
             executor.verify_configuration()
+
+
+class TestLutMode:
+    """The MCC's LUT mode must match the schedule's LUT width."""
+
+    def test_mismatched_tile_mode_rejected_before_running(self):
+        from repro.errors import DeviceError
+
+        mapped = technology_map(build_pe("NW").netlist, k=4).netlist
+        schedule = list_schedule(mapped, TileResources(lut_inputs=4))
+        tile = [MicroComputeCluster(0, [Subarray() for _ in range(4)])]
+        with pytest.raises(DeviceError, match="5-LUT mode"):
+            FoldedExecutor(schedule, tile)
+        assert all(sub.writes == 0 for sub in tile[0].subarrays)
+
+    def test_set_lut_mode_resizes_the_lut_units(self):
+        mcc = MicroComputeCluster(0, [Subarray() for _ in range(4)])
+        assert (mcc.lut_inputs, len(mcc.luts)) == (5, 4)
+        mcc.set_lut_mode(4)
+        assert (mcc.lut_inputs, len(mcc.luts)) == (4, 8)
+        assert all(lut.inputs == 4 for lut in mcc.luts)
+        mcc.set_lut_mode(5)
+        assert (mcc.lut_inputs, len(mcc.luts)) == (5, 4)
+
+    def test_controller_programs_the_schedule_mode(self):
+        """A default (5-LUT) slice serves a k=4 program, and a warm
+        slice switches k on a live reprogram."""
+        from repro.circuits.library import mapped_pe
+        from repro.folding.schedule import OpSlot
+        from repro.freac.ccctrl import ComputeClusterController
+        from repro.freac.compute_slice import (
+            ReconfigurableComputeSlice,
+            SlicePartition,
+        )
+
+        compute_slice = ReconfigurableComputeSlice()
+        controller = ComputeClusterController(compute_slice)
+        controller.setup(SlicePartition(2, 2))
+        k4 = list_schedule(mapped_pe("NW", 4), TileResources(lut_inputs=4))
+        k5 = list_schedule(mapped_pe("NW", 5), TileResources(lut_inputs=5))
+        controller.program(k4)
+        assert {mcc.lut_inputs for mcc in compute_slice.mccs} == {4}
+        # The k=4 schedule addresses LUT units a 5-LUT MCC lacks.
+        assert max(op.unit for op in k4.ops if op.slot is OpSlot.LUT) >= 4
+        controller.reprogram(k5)
+        assert {mcc.lut_inputs for mcc in compute_slice.mccs} == {5}
+        controller.reprogram(k4)
+        assert {mcc.lut_inputs for mcc in compute_slice.mccs} == {4}

@@ -21,7 +21,7 @@ from repro.errors import (
 from repro.freac import ExecutionSession
 from repro.freac.compute_slice import SlicePartition
 from repro.freac.device import AcceleratorProgram, FreacDevice
-from repro.freac.executor import StreamBinding
+from repro.freac.executor import FoldedExecutor, StreamBinding
 from repro.freac.runner import plan_layout
 from repro.params import scaled_system
 from repro.workloads.datagen import dataset_for
@@ -150,10 +150,6 @@ class TestLifecycle:
             with pytest.raises(ProtocolError):
                 session.__enter__()
 
-    def test_bad_engine_rejected_at_construction(self):
-        with pytest.raises(DeviceError):
-            ExecutionSession(small_device(), engine="turbo")
-
     def test_bad_slice_indices_rejected(self):
         device = small_device()
         with pytest.raises(ConfigurationError):
@@ -196,52 +192,43 @@ class TestExecution:
             with pytest.raises(DeviceError):
                 session.fill(0, [1], slice_index=1)
 
-    @pytest.mark.parametrize("engine", ("vectorized", "reference"))
-    def test_execute_dataset_end_to_end(self, engine):
+    @pytest.mark.parametrize("path", ("reference", "specialized"))
+    def test_execute_dataset_end_to_end(self, path, monkeypatch):
+        if path == "reference":
+            monkeypatch.setattr(
+                FoldedExecutor, "run_batch",
+                FoldedExecutor.run_batch_reference,
+            )
         device = small_device()
         dataset = dataset_for("VADD", items=6)
-        with ExecutionSession(device, SlicePartition(4, 2),
-                              engine=engine) as session:
+        with ExecutionSession(device, SlicePartition(4, 2)) as session:
             session.program(vadd_program())
             pad_words = session.controllers[0].slice.scratchpad.words
             layout = plan_layout(dataset, pad_words)
             totals, mismatched = session.execute(dataset, layout)
         assert mismatched == []
         assert totals["invocations"] == 6
+        assert totals["engine_fallbacks"] == 0
 
-    def test_engines_agree_on_device_counters(self):
-        results = {}
-        for engine in ("reference", "vectorized"):
+    def test_engines_agree_on_device_counters(self, monkeypatch):
+        """The session's plan totals equal the scalar oracle's."""
+
+        def dot_totals():
             device = small_device()
             dataset = dataset_for("DOT", items=5, seed=7)
-            with ExecutionSession(device, SlicePartition(4, 2),
-                                  engine=engine) as session:
-                session.program(vadd_program().__class__(
-                    "DOT", mapped_pe("DOT")))
+            with ExecutionSession(device, SlicePartition(4, 2)) as session:
+                session.program(AcceleratorProgram("DOT", mapped_pe("DOT")))
                 pad_words = session.controllers[0].slice.scratchpad.words
                 layout = plan_layout(dataset, pad_words)
                 totals, mismatched = session.execute(dataset, layout)
             assert mismatched == []
-            results[engine] = totals
-        assert results["vectorized"] == results["reference"]
+            return totals
 
-
-class TestEngineResolution:
-    """The session resolves its engine once, to an EngineSpec."""
-
-    def test_engine_normalizes_to_spec(self):
-        from repro.freac.engine import EngineSpec, resolve_engine
-
-        device = small_device()
-        session = ExecutionSession(device, engine="reference")
-        assert isinstance(session.engine, EngineSpec)
-        assert session.engine.name == "reference"
-        default = ExecutionSession(device)
-        assert default.engine is resolve_engine(None)
-
-    def test_unknown_engine_rejected_at_construction(self):
-        with pytest.raises(DeviceError, match="unknown execution engine"):
-            ExecutionSession(small_device(), engine="turbo")
+        plan = dot_totals()
+        monkeypatch.setattr(
+            FoldedExecutor, "run_batch", FoldedExecutor.run_batch_reference
+        )
+        assert dot_totals() == plan
 
 
 class TestRemovedDelegates:

@@ -1,6 +1,6 @@
 """The compiled-plan layer: build, cache, content address, artifact.
 
-Bit-exactness of the specialized engine against the other two lives in
+Bit-exactness of the plan against the reference loop lives in
 ``test_engine.py``; this file covers the plan object itself — the
 build/cache lifecycle on the schedule, digest determinism, and the
 program-cache artifact shape.
@@ -112,6 +112,17 @@ class TestArtifact:
         assert artifact["supported"] is False
         assert artifact["reason"]
         assert "digest" not in artifact
+
+    def test_compile_program_builds_the_plan(self):
+        """The serving compile builds the plan once, up front: the
+        artifact is filled in and the first wave finds the plan cached
+        on the schedule instead of building it."""
+        from repro.service.programs import compile_program
+
+        program = compile_program("VADD")
+        assert program.specialized == plan_artifact(program.schedule)
+        assert program.specialized["supported"] is True
+        assert isinstance(program.schedule._specialized_plan, SpecializedPlan)
 
     def test_artifact_is_json_clean(self):
         import json

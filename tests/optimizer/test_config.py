@@ -1,20 +1,16 @@
-"""OptimizerConfig: validation, backend resolution, cache tokens."""
+"""OptimizerConfig: validation and cache tokens."""
 
 import pytest
 
 from repro.errors import OptimizerError
-from repro.optimizer import BACKENDS, OptimizerConfig, cpsat_available
+from repro.optimizer import OptimizerConfig
 
 
 class TestValidation:
     def test_defaults_are_valid(self):
         config = OptimizerConfig()
-        assert config.enabled and config.backend == "auto"
+        assert config.enabled
         assert config.budget_s > 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(OptimizerError):
-            OptimizerConfig(backend="quantum")
 
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(OptimizerError):
@@ -31,29 +27,7 @@ class TestValidation:
         assert config.replace(budget_s=2.5).budget_s == 2.5
         assert config.budget_s != 2.5 or config.budget_s == 8.0
         with pytest.raises(OptimizerError):
-            config.replace(backend="nope")
-
-
-class TestBackendResolution:
-    def test_bnb_always_resolves(self):
-        assert OptimizerConfig(backend="bnb").resolve_backend() == "bnb"
-
-    def test_auto_resolves_to_something_known(self):
-        resolved = OptimizerConfig(backend="auto").resolve_backend()
-        assert resolved in ("bnb", "cpsat")
-        assert resolved == ("cpsat" if cpsat_available() else "bnb")
-
-    @pytest.mark.skipif(cpsat_available(), reason="ortools is installed")
-    def test_cpsat_pin_without_ortools_raises(self):
-        with pytest.raises(OptimizerError):
-            OptimizerConfig(backend="cpsat").resolve_backend()
-
-    @pytest.mark.skipif(not cpsat_available(), reason="no ortools")
-    def test_cpsat_pin_with_ortools_resolves(self):
-        assert OptimizerConfig(backend="cpsat").resolve_backend() == "cpsat"
-
-    def test_backends_tuple_is_the_cli_surface(self):
-        assert BACKENDS == ("auto", "bnb", "cpsat")
+            config.replace(budget_s=0.0)
 
 
 class TestToken:
@@ -68,7 +42,7 @@ class TestToken:
         assert OptimizerConfig(enabled=False).token() == ""
 
     @pytest.mark.parametrize("changes", [
-        {"backend": "bnb"},
+        {"enabled": False},
         {"budget_s": 1.5},
         {"cut_limit": 6},
         {"remap_iterations": 1},

@@ -13,7 +13,7 @@ RESOURCES = TileResources(mccs=1)
 
 
 def bnb_config(**changes):
-    return OptimizerConfig(backend="bnb").replace(**changes)
+    return OptimizerConfig().replace(**changes)
 
 
 class TestImprovement:
@@ -28,7 +28,6 @@ class TestImprovement:
         assert outcome.optimized_fold_cycles == outcome.schedule.fold_cycles
         assert outcome.optimized_fold_cycles < heuristic.fold_cycles
         assert outcome.schedule.algorithm == "opt-bnb"
-        assert outcome.backend == "bnb"
         assert outcome.lower_bound <= outcome.optimized_fold_cycles
         assert outcome.lut_count_after < outcome.lut_count_before
 
@@ -39,7 +38,6 @@ class TestImprovement:
         outcome = optimize_schedule(netlist, RESOURCES, config=bnb_config())
         stats = outcome.stats_dict()
         json.dumps(stats)   # must not raise
-        assert stats["backend"] == "bnb"
         assert stats["bound_gap"] == outcome.bound_gap
 
     def test_heuristic_built_when_not_injected(self):
@@ -123,7 +121,7 @@ class TestGate:
         assert any("DF999" in reason
                    for reason in outcome.rejection_reasons)
         counter = telemetry.counter("optimizer.rejected")
-        assert counter.value(backend="bnb") == 1
+        assert counter.value() == 1
 
     def test_gate_not_run_when_nothing_beat_the_heuristic(self, monkeypatch):
         def explode(schedule):   # pragma: no cover - must not be called
@@ -154,10 +152,10 @@ class TestTelemetry:
         optimize_schedule(
             netlist, RESOURCES, config=bnb_config(), telemetry=telemetry
         )
-        assert telemetry.counter("optimizer.runs").value(backend="bnb") == 1
+        assert telemetry.counter("optimizer.runs").value() == 1
         assert (
-            telemetry.counter("optimizer.improved").value(backend="bnb") == 1
+            telemetry.counter("optimizer.improved").value() == 1
         )
         assert (
-            telemetry.counter("optimizer.rejected").value(backend="bnb") == 0
+            telemetry.counter("optimizer.rejected").value() == 0
         )

@@ -2,7 +2,8 @@
 
 Whatever the optimizer did to the cover or the cycle grid, the served
 schedule must be bit-exact with the heuristic one on the folded
-executor — both engines — and must never fold in more cycles.  One
+executor — both the compiled plan and the reference loop — and must
+never fold in more cycles.  One
 optimization pass per benchmark is cached at module scope so hypothesis
 examples only pay for execution, not re-optimization.
 """
@@ -31,7 +32,7 @@ def outcome_for(name):
         heuristic = list_schedule(netlist, RESOURCES)
         outcome = optimize_schedule(
             netlist, RESOURCES,
-            config=OptimizerConfig(backend="bnb", budget_s=4.0),
+            config=OptimizerConfig(budget_s=4.0),
             heuristic=heuristic,
         )
         _OUTCOMES[name] = (heuristic, outcome)
@@ -80,13 +81,14 @@ class TestBitExactParity:
             }
         else:
             streams = random_streams(build_pe(name), batch, rng)
-        baseline = executor_for(heuristic).run_batch(
-            batch, streams=streams, engine="reference"
+        baseline = executor_for(heuristic).run_batch_reference(
+            batch, streams=streams
         )
-        for engine in ("reference", "vectorized"):
-            result = executor_for(outcome.schedule).run_batch(
-                batch, streams=streams, engine=engine
-            )
+        optimized = executor_for(outcome.schedule)
+        for result in (
+            optimized.run_batch_reference(batch, streams=streams),
+            optimized.run_batch(batch, streams=streams),
+        ):
             assert result.stores.keys() == baseline.stores.keys()
             for stream in baseline.stores:
                 np.testing.assert_array_equal(
@@ -133,7 +135,7 @@ class TestBudgetRespected:
         netlist = mapped_pe("SRT")
         outcome = optimize_schedule(
             netlist, RESOURCES,
-            config=OptimizerConfig(backend="bnb", budget_s=budget),
+            config=OptimizerConfig(budget_s=budget),
             heuristic=list_schedule(netlist, RESOURCES),
             clock=clock,
         )

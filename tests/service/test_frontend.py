@@ -93,6 +93,17 @@ class TestServeCommand:
         assert "refused" in captured.err
         assert "verified=yes" in captured.out   # good request still served
 
+    def test_serve_rejects_the_removed_engine_key(self, tmp_path, capsys):
+        """There is one execution engine, so ``engine=`` is no longer
+        a request key: the line is refused, naming the known keys."""
+        with pytest.raises(RequestError, match="known keys") as refused:
+            parse_request("DOT 16 engine=reference")
+        assert "engine" not in str(refused.value).split("known keys")[1]
+        requests = tmp_path / "requests.txt"
+        requests.write_text("DOT 16 engine=reference\n")
+        assert main(["serve", "--requests", str(requests)]) == 2
+        assert "known keys" in capsys.readouterr().err
+
     def test_serve_missing_file(self, capsys):
         assert main(["serve", "--requests", "/no/such/file"]) == 2
 

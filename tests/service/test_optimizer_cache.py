@@ -13,7 +13,7 @@ from repro.service.programs import (
     program_key,
 )
 
-BNB = OptimizerConfig(backend="bnb", budget_s=2.0)
+BNB = OptimizerConfig(budget_s=2.0)
 
 
 class TestKeySeparation:
@@ -69,7 +69,6 @@ class TestOptimizedCompile:
         stats = program.opt_stats
         assert stats["improved"] is True
         assert stats["rejected"] is False
-        assert stats["backend"] == "bnb"
         assert (
             stats["optimized_fold_cycles"]
             == program.schedule.fold_cycles
@@ -101,7 +100,7 @@ class TestDiskRoundTrip:
             entry.schedule.fold_cycles == original.schedule.fold_cycles
         )
 
-    def test_on_disk_format_is_v4_with_optimizer_fields(self, tmp_path):
+    def test_disk_format_is_v5_with_optimizer_fields(self, tmp_path):
         import json
 
         cache = ProgramCache(capacity=4, directory=tmp_path)
@@ -109,7 +108,7 @@ class TestDiskRoundTrip:
         data = json.loads(
             (tmp_path / program.key.filename).read_text()
         )
-        assert data["version"] == DISK_FORMAT_VERSION == 4
+        assert data["version"] == DISK_FORMAT_VERSION == 5
         assert data["optimizer"] == BNB.token()
         assert data["opt_stats"] == program.opt_stats
         assert data["specialized"]["supported"] is True
@@ -138,7 +137,6 @@ class TestRejectionCounter:
                 heuristic_fold_cycles=heuristic.fold_cycles,
                 optimized_fold_cycles=heuristic.fold_cycles,
                 lower_bound=1,
-                backend="bnb",
                 rejected=True,
                 rejection_reasons=["DF999: synthetic"],
             )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.circuits.library import clear_cache, library_version
 from repro.service.programs import (
+    DISK_FORMAT_VERSION,
     ProgramCache,
     compile_program,
     program_key,
@@ -235,7 +236,7 @@ class TestCrashSafety:
 
 
 class TestDiskFormatMigration:
-    """v3 -> v4: old entries quarantine-and-recompile, never crash."""
+    """Old format versions quarantine-and-recompile, never crash."""
 
     def _downgrade_to_v3(self, path):
         data = json.loads(path.read_text())
@@ -257,8 +258,26 @@ class TestDiskFormatMigration:
         assert (tmp_path / (seeded.key.filename + ".corrupt")).exists()
         # The recompile re-published the entry at the current format.
         republished = json.loads(path.read_text())
-        assert republished["version"] == 4
+        assert republished["version"] == DISK_FORMAT_VERSION == 5
         assert republished["specialized"]["supported"] is True
+
+    def test_v4_entry_is_quarantined_and_recompiled(self, tmp_path):
+        """v4 optimizer tokens still hashed the deleted solver-backend
+        knob; such entries must cost one recompile, never a crash."""
+        calls = []
+        seeded = ProgramCache(directory=tmp_path).get_or_compile("VADD")
+        path = tmp_path / seeded.key.filename
+        data = json.loads(path.read_text())
+        data["version"] = 4
+        path.write_text(json.dumps(data))
+
+        cache = ProgramCache(directory=tmp_path, compiler=counting(calls))
+        compiled = cache.get_or_compile("VADD")
+        assert compiled.ok
+        assert calls == ["VADD"]
+        assert cache.quarantined == 1
+        assert (tmp_path / (seeded.key.filename + ".corrupt")).exists()
+        assert json.loads(path.read_text())["version"] == 5
 
     def test_v4_round_trip_preserves_specialized_artifact(self, tmp_path):
         from repro.freac.specialize import plan_artifact

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.errors import DeviceError, RequestError
+from repro.errors import RequestError
 from repro.request import RunRequest
 
 
@@ -18,17 +18,12 @@ class TestValidation:
         request = RunRequest("vadd")
         assert request.benchmark == "VADD"  # canonicalised to upper
         assert request.items == 8
-        assert request.engine == "vectorized"
         assert request.preflight and not request.telemetry
 
     def test_frozen(self):
         request = RunRequest("DOT")
         with pytest.raises(dataclasses.FrozenInstanceError):
             request.items = 99
-
-    def test_bad_engine(self):
-        with pytest.raises(DeviceError):
-            RunRequest("DOT", engine="turbo")
 
     def test_bad_items(self):
         with pytest.raises(RequestError):
@@ -43,25 +38,24 @@ class TestFromArgs:
     def test_submit_style_namespace(self):
         args = namespace(
             benchmark="gemm", items=16, tile=2, job_slices=2,
-            priority=3, seed=5, lut_inputs=4, engine="reference",
-            timeout_s=1.5,
+            priority=3, seed=5, lut_inputs=4, timeout_s=1.5,
         )
         request = RunRequest.from_args(args)
         assert request == RunRequest(
             "GEMM", items=16, mccs_per_tile=2, slices=2, priority=3,
-            seed=5, lut_inputs=4, engine="reference", timeout_s=1.5,
+            seed=5, lut_inputs=4, timeout_s=1.5,
         )
 
     def test_missing_attributes_keep_defaults(self):
         request = RunRequest.from_args(namespace(benchmark="DOT"))
         assert request.items == 8 and request.slices == 1
-        assert request.engine == "vectorized"
+        assert request.lut_inputs == 5
 
     def test_none_attributes_keep_defaults(self):
-        # argparse emits None for unset optionals (e.g. --engine).
-        args = namespace(benchmark="DOT", engine=None, items=None)
+        # argparse emits None for unset optionals (e.g. --opt-budget-s).
+        args = namespace(benchmark="DOT", opt_budget_s=None, items=None)
         request = RunRequest.from_args(args)
-        assert request.engine == "vectorized" and request.items == 8
+        assert request.opt_budget_s is None and request.items == 8
 
     def test_tile_beats_mccs_per_tile(self):
         # `freac submit --tile` and programmatic callers both feed the
@@ -84,7 +78,7 @@ class TestFromArgs:
 class TestPlumbing:
     def test_submit_kwargs_round_trip(self):
         request = RunRequest("FC", items=4, priority=2, slices=2,
-                             engine="reference", timeout_s=0.5)
+                             timeout_s=0.5)
         assert request.submit_kwargs() == {
             "priority": 2,
             "mccs_per_tile": 1,
@@ -92,7 +86,6 @@ class TestPlumbing:
             "slices": 2,
             "timeout_s": 0.5,
             "seed": 0,
-            "engine": "reference",
             "optimize": False,
             "opt_budget_s": None,
         }
@@ -116,10 +109,10 @@ class TestPlumbing:
             partition=SlicePartition(compute_ways=4, scratchpad_ways=4),
         )
         try:
-            request = RunRequest("VADD", items=3, engine="reference")
+            request = RunRequest("VADD", items=3, seed=4)
             job = service.submit_request(request)
             result = service.result(job)
             assert result.verified
-            assert job.request.engine == "reference"
+            assert job.request.seed == 4
         finally:
             service.close()
