@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DeviceError, ProtocolError
 from ..folding.config import ConfigImage, generate_config
@@ -413,3 +413,54 @@ class ComputeClusterController:
             total.config_reloads += stats.config_reloads
             total.engine_fallbacks += stats.engine_fallbacks
         return total
+
+
+#: The counters a multi-slice batch run reports.
+_BATCH_COUNTERS = (
+    "invocations", "lut_evaluations", "mac_operations", "bus_words",
+    "engine_fallbacks",
+)
+
+
+def run_on_slices(
+    controllers: Sequence[ComputeClusterController],
+    items: int,
+    scratchpad_map: Dict[str, StreamBinding],
+    *,
+    per_slice_items: Optional[Sequence[int]] = None,
+    fill: Optional[Callable[[ComputeClusterController, int, int], None]] = None,
+) -> Dict[str, int]:
+    """Run one batch data-parallel across programmed slice controllers.
+
+    Items are block-distributed unless ``per_slice_items`` says
+    otherwise: slice *s* runs its share against its own scratchpad,
+    mirroring the paper's data-parallel decomposition.
+    ``fill(controller, first, count)`` runs before each non-empty share,
+    ``first`` being the share's first batch-global item.  Returns this
+    batch's own counters (deltas), so repeated batches on the same
+    programmed slices never double-count.
+    """
+    if per_slice_items is None:
+        chunk = -(-items // len(controllers))
+        per_slice_items = [
+            max(0, min(chunk, items - index * chunk))
+            for index in range(len(controllers))
+        ]
+    executors = [e for controller in controllers for e in controller.executors]
+
+    def totals() -> Dict[str, int]:
+        return {
+            key: sum(getattr(executor.stats, key) for executor in executors)
+            for key in _BATCH_COUNTERS
+        }
+
+    before = totals()
+    first = 0
+    for controller, count in zip(controllers, per_slice_items):
+        if count:
+            if fill is not None:
+                fill(controller, first, count)
+            controller.run_batch(count, scratchpad_map)
+        first += count
+    after = totals()
+    return {key: after[key] - before[key] for key in _BATCH_COUNTERS}

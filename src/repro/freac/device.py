@@ -23,7 +23,12 @@ from ..memory.dram import DramModel
 from ..params import SystemParams, default_system
 from ..telemetry import Telemetry
 from ..telemetry.core import resolve
-from .ccctrl import ComputeClusterController, ProgramReport, SetupReport
+from .ccctrl import (
+    ComputeClusterController,
+    ProgramReport,
+    SetupReport,
+    run_on_slices,
+)
 from .compute_slice import ReconfigurableComputeSlice, SlicePartition
 from .executor import StreamBinding
 from .hostif import HostInterface
@@ -181,37 +186,14 @@ class FreacDevice:
         *,
         per_slice_items: Optional[Sequence[int]] = None,
     ) -> Dict[str, int]:
-        """Run a batch split across slices; returns aggregate counters.
-
-        Items are block-distributed: slice *s* runs items
-        ``[s*chunk, ...)`` against its own scratchpad, mirroring the
-        paper's data-parallel decomposition.
+        """Run a batch across every configured slice; returns this
+        batch's counters (see :func:`~repro.freac.ccctrl.run_on_slices`).
         """
         active = [c for c in self.controllers if c.state.value == "configured"]
         if not active:
             raise DeviceError("program the device before running")
-        if per_slice_items is None:
-            chunk = -(-items // len(active))
-            per_slice_items = [
-                max(0, min(chunk, items - i * chunk)) for i in range(len(active))
-            ]
-        totals = {
-            "invocations": 0,
-            "lut_evaluations": 0,
-            "mac_operations": 0,
-            "bus_words": 0,
-            "engine_fallbacks": 0,
-        }
-        for controller, count in zip(active, per_slice_items):
-            if count == 0:
-                continue
-            stats = controller.run_batch(count, scratchpad_map)
-            totals["invocations"] += stats.invocations
-            totals["lut_evaluations"] += stats.lut_evaluations
-            totals["mac_operations"] += stats.mac_operations
-            totals["bus_words"] += stats.bus_words
-            totals["engine_fallbacks"] += stats.engine_fallbacks
-        return totals
+        return run_on_slices(active, items, scratchpad_map,
+                             per_slice_items=per_slice_items)
 
     # ------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from ..errors import CapacityError, DeviceError, RequestError
 from ..telemetry import Telemetry
 from ..telemetry.core import resolve
 from ..workloads.datagen import Dataset, dataset_for
-from .ccctrl import ComputeClusterController
+from .ccctrl import ComputeClusterController, run_on_slices
 from .compute_slice import SlicePartition
 from .device import AcceleratorProgram, FreacDevice
 from .executor import StreamBinding
@@ -132,35 +132,6 @@ def plan_layout(
     return layout
 
 
-def _distribute(items: int, slices: int) -> Tuple[int, List[int]]:
-    """Block-distribute ``items`` over ``slices``: (chunk, per-slice)."""
-    chunk = -(-items // slices)
-    return chunk, [
-        max(0, min(chunk, items - index * chunk)) for index in range(slices)
-    ]
-
-
-def _controller_totals(
-    controllers: Sequence[ComputeClusterController],
-) -> Dict[str, int]:
-    totals = {
-        "invocations": 0,
-        "lut_evaluations": 0,
-        "mac_operations": 0,
-        "bus_words": 0,
-        "engine_fallbacks": 0,
-    }
-    for controller in controllers:
-        for executor in controller.executors:
-            stats = executor.stats
-            totals["invocations"] += stats.invocations
-            totals["lut_evaluations"] += stats.lut_evaluations
-            totals["mac_operations"] += stats.mac_operations
-            totals["bus_words"] += stats.bus_words
-            totals["engine_fallbacks"] += stats.engine_fallbacks
-    return totals
-
-
 def execute_on_controllers(
     controllers: Sequence[ComputeClusterController],
     dataset: Dataset,
@@ -185,46 +156,37 @@ def execute_on_controllers(
         raise DeviceError("no controllers to execute on")
     tel = resolve(telemetry)
     pe = pe if pe is not None else build_pe(dataset.benchmark)
-    chunk, per_slice_items = _distribute(dataset.items, len(controllers))
+    shares: List[Tuple[ComputeClusterController, int, int]] = []
 
-    before = _controller_totals(controllers)
+    def fill(controller: ComputeClusterController, first: int,
+             count: int) -> None:
+        shares.append((controller, first, count))
+        for stream in pe.loads:
+            binding = layout[stream]
+            data = dataset.loads[stream][first:first + count]
+            if all(len(item_words) == binding.words_per_item
+                   for item_words in data):
+                # Per-item regions are contiguous, so the whole stream
+                # goes down as one bulk fill.
+                controller.fill_scratchpad(
+                    binding.base_word,
+                    [word for item_words in data for word in item_words],
+                )
+            else:
+                for local, item_words in enumerate(data):
+                    controller.fill_scratchpad(
+                        binding.base_word + local * binding.words_per_item,
+                        item_words,
+                    )
+
     with tel.span("runner.fill_and_run", "runner",
                   benchmark=dataset.benchmark, items=dataset.items):
-        for slice_index, controller in enumerate(controllers):
-            begin = slice_index * chunk
-            count = per_slice_items[slice_index]
-            if not count:
-                continue
-            for stream in pe.loads:
-                binding = layout[stream]
-                data = dataset.loads[stream][begin:begin + count]
-                if all(len(item_words) == binding.words_per_item
-                       for item_words in data):
-                    # Per-item regions are contiguous, so the whole
-                    # stream goes down as one bulk fill.
-                    controller.fill_scratchpad(
-                        binding.base_word,
-                        [word for item_words in data for word in item_words],
-                    )
-                else:
-                    for local, item_words in enumerate(data):
-                        controller.fill_scratchpad(
-                            binding.base_word
-                            + local * binding.words_per_item,
-                            item_words,
-                        )
-            controller.run_batch(count, layout)
-    after = _controller_totals(controllers)
-    totals = {key: after[key] - before[key] for key in after}
+        totals = run_on_slices(controllers, dataset.items, layout, fill=fill)
 
     mismatched: List[int] = []
     with tel.span("runner.verify", "runner",
                   benchmark=dataset.benchmark, items=dataset.items):
-        for slice_index, controller in enumerate(controllers):
-            begin = slice_index * chunk
-            count = per_slice_items[slice_index]
-            if not count:
-                continue
+        for controller, first, count in shares:
             bad = set()
             for stream in pe.stores:
                 binding = layout[stream]
@@ -233,7 +195,7 @@ def execute_on_controllers(
                     binding.base_word, count * words
                 )
                 for local in range(count):
-                    item = begin + local
+                    item = first + local
                     if (got[local * words:(local + 1) * words]
                             != dataset.expected[stream][item]):
                         bad.add(item)

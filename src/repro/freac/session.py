@@ -30,6 +30,7 @@ from .ccctrl import (
     ControllerState,
     ProgramReport,
     SetupReport,
+    run_on_slices,
 )
 from .compute_slice import SlicePartition
 from .device import AcceleratorProgram, FreacDevice
@@ -240,33 +241,12 @@ class ExecutionSession:
     ) -> Dict[str, int]:
         """Run a batch data-parallel across the session's slices.
 
-        Same contract as ``FreacDevice.run_batch``, but scoped to this
-        session's slices.
+        Same contract as ``FreacDevice.run_batch`` (this batch's own
+        counters), but scoped to this session's slices.
         """
         self._require_programmed()
-        if per_slice_items is None:
-            chunk = -(-items // len(self.slice_indices))
-            per_slice_items = [
-                max(0, min(chunk, items - i * chunk))
-                for i in range(len(self.slice_indices))
-            ]
-        totals = {
-            "invocations": 0,
-            "lut_evaluations": 0,
-            "mac_operations": 0,
-            "bus_words": 0,
-            "engine_fallbacks": 0,
-        }
-        for controller, count in zip(self.controllers, per_slice_items):
-            if count == 0:
-                continue
-            stats = controller.run_batch(count, scratchpad_map)
-            totals["invocations"] += stats.invocations
-            totals["lut_evaluations"] += stats.lut_evaluations
-            totals["mac_operations"] += stats.mac_operations
-            totals["bus_words"] += stats.bus_words
-            totals["engine_fallbacks"] += stats.engine_fallbacks
-        return totals
+        return run_on_slices(self.controllers, items, scratchpad_map,
+                             per_slice_items=per_slice_items)
 
     def execute(self, dataset, layout, *, pe=None):
         """Fill, run, and verify a whole dataset batch on the session.

@@ -27,7 +27,7 @@ import logging
 import os
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..params import scaled_system
@@ -64,10 +64,8 @@ class ShardConfig:
     l3_slices: int = 2
     workers: int = 2
     cache_dir: Optional[str] = None
-    cache_capacity: int = 16
     max_queue_depth: Optional[int] = None
     batching: bool = True
-    max_batch_items: Optional[int] = None
     max_retries: int = 2
     wave_latency_s: Optional[float] = None
     item_latency_s: Optional[float] = None
@@ -78,7 +76,6 @@ class ShardConfig:
     elastic: Optional["ElasticConfig"] = None
     heartbeat_s: float = 0.2
     telemetry: bool = True
-    extra: Dict[str, object] = field(default_factory=dict)
 
 
 class ShardRuntime:
@@ -110,11 +107,9 @@ class ShardRuntime:
             system=scaled_system(l3_slices=config.l3_slices),
             cache_dir=config.cache_dir,
             cache_namespace=f"shard{shard_id}",
-            cache_capacity=config.cache_capacity,
             workers=config.workers,
             max_queue_depth=config.max_queue_depth,
             batching=config.batching,
-            max_batch_items=config.max_batch_items,
             max_retries=config.max_retries,
             wave_latency_s=config.wave_latency_s,
             item_latency_s=config.item_latency_s,

@@ -15,9 +15,10 @@ package is the runtime between those callers and
   :class:`ServiceStats` snapshot;
 * :mod:`~repro.service.service` — :class:`AcceleratorService`, the
   device pool + scheduler with admission control, batching, deadlines,
-  backpressure, and bounded retry with backoff;
-* :mod:`~repro.service.workers` — :class:`WorkerPool`, N dispatch
-  threads running waves on disjoint slice groups concurrently;
+  backpressure, and bounded split-and-retry;
+* :mod:`~repro.service.workers` — :class:`WorkerPool`, the one dispatch
+  loop, run inline (``workers=0``) or on N threads that run waves on
+  disjoint slice groups concurrently;
 * :mod:`~repro.service.frontend` — the ``freac serve`` / ``freac
   submit`` command-line front ends.
 """

@@ -1,12 +1,13 @@
 """``freac serve`` / ``freac submit``: file- or stdin-fed front ends.
 
 ``freac submit BENCH --items N`` is the one-shot path: spin up a
-service, admit one job, pump to completion, print the result.
+service, admit one job, wait for its result, print it.
 
 ``freac serve --requests FILE`` reads a request stream (one request
 per line, ``-`` or no flag = stdin), submits everything up front so
-priorities/batching/placement actually interact, pumps until the queue
-drains, and prints per-job lines plus a stats summary.
+priorities/batching/placement actually interact, drains the queue
+(inline, or on ``--workers N`` threads), and prints per-job lines plus
+a stats summary.
 
 Request line grammar (``#`` starts a comment)::
 
@@ -185,11 +186,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             except RequestError as exc:
                 print(f"request {index} refused: {exc}", file=sys.stderr)
                 exit_code = 1
-        if service.worker_count:
-            service.drain()
-        else:
-            while any(not job.done for job in jobs):
-                service.pump()
+        service.drain()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

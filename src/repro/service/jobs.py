@@ -221,14 +221,12 @@ class JobQueue:
                 return None
             return heapq.heappop(self._heap)[2]
 
-    def pop_group(self, *, batch: bool = True,
-                  max_items: Optional[int] = None) -> List[Job]:
+    def pop_group(self, *, batch: bool = True) -> List[Job]:
         """Pop the head job plus every queued job batchable with it.
 
         Group members share a :meth:`JobRequest.batch_key`; the head's
         priority wins (a batched low-priority job rides along — strict
         priority order is preserved for the *head* of every group).
-        ``max_items`` caps the merged batch size.
         """
         with self._lock:
             head = self.pop()
@@ -237,9 +235,6 @@ class JobQueue:
             group = [head]
             if not batch:
                 return group
-            budget = (
-                None if max_items is None else max_items - head.request.items
-            )
             key = head.request.batch_key()
             kept: List[Tuple[int, int, Job]] = []
             self._compact()
@@ -247,11 +242,8 @@ class JobQueue:
                 job = entry[2]
                 if job.state is not JobState.PENDING:
                     continue
-                fits = budget is None or job.request.items <= budget
-                if job.request.batch_key() == key and fits:
+                if job.request.batch_key() == key:
                     group.append(job)
-                    if budget is not None:
-                        budget -= job.request.items
                 else:
                     kept.append(entry)
             self._heap = kept

@@ -3,43 +3,42 @@
 The runtime between many callers and a pool of
 :class:`~repro.freac.device.FreacDevice` instances.  One *wave* does:
 
-1. **Admission-checked dequeue** — pop the highest-priority batch
-   group (same-benchmark jobs merge into one run), expiring jobs whose
-   deadline passed;
-2. **Placement** — claim disjoint slices from the pool (best-fit
-   packing, so independent jobs co-reside on one device), partition
-   exactly those slices and program them from the compiled-program
-   cache entry;
+1. **Claim** — pop the highest-priority batch group (same-benchmark
+   jobs merge into one run), expiring jobs whose deadline passed, and
+   claim disjoint slices for it from the pool (best-fit packing, so
+   independent jobs co-reside on one device);
+2. **Program** — partition exactly those slices and program them from
+   the compiled-program cache entry;
 3. **Execution** — re-check deadlines, fill scratchpads, run, verify,
    with bounded retry: a :class:`~repro.errors.CapacityError` (batch
-   too big for the scratchpad) backs off exponentially (with jitter)
-   and resubmits the chunk at half size instead of failing;
+   too big for the scratchpad) resubmits the chunk at half size
+   instead of failing;
 4. **Completion** — per-job results, latency samples, slice release.
 
-The service runs in one of two modes:
+Dispatch is one loop — claim a placed wave, run it, repeat — owned by
+:class:`~repro.service.workers.WorkerPool`; ``workers`` only sets how
+many threads run it:
 
-* **Synchronous** (``workers=0``, the default): ``pump()`` runs waves
-  inline and ``result()`` pumps until the job is terminal — fully
-  deterministic, one wave at a time.
-* **Concurrent** (``workers=N``): a
-  :class:`~repro.service.workers.WorkerPool` of N dispatch threads
-  claims waves as slices free up, so waves on disjoint slice groups
-  are in flight simultaneously — the paper's independent slices
-  serving independent tenants.  ``submit`` stays non-blocking (a full
-  bounded queue rejects with ``SATURATED`` backpressure), ``result``
-  blocks on a condition variable, and ``shutdown`` drains the queue
-  and joins every worker before unlocking the devices.
+* ``workers=0`` (the default) starts no threads: ``pump()`` steps the
+  loop inline, claiming every placeable wave before running each, and
+  ``result()``/``drain()`` pump until done — fully deterministic.
+* ``workers=N`` runs the loop on N threads that claim waves as slices
+  free up, so waves on disjoint slice groups are in flight
+  simultaneously — the paper's independent slices serving independent
+  tenants.  ``submit`` stays non-blocking (a full bounded queue
+  rejects with ``SATURATED`` backpressure) and ``result``/``drain``
+  block on a condition variable.
 
-Either way the service is single-process: this is a simulator, not an
-RPC server, but it exercises the real multi-tenant mechanics —
-priority, co-residency, batching, rejection, deadline, retry,
-backpressure, and crash-safe shutdown.
+``shutdown`` drains through ``drain()`` in both modes, then stops the
+threads before unlocking the devices.  The service is single-process:
+this is a simulator, not an RPC server, but it exercises the real
+multi-tenant mechanics — priority, co-residency, batching, rejection,
+deadline, retry, backpressure, and crash-safe shutdown.
 """
 
 from __future__ import annotations
 
 import logging
-import random
 import threading
 import time
 from collections import deque
@@ -60,7 +59,7 @@ from ..telemetry.core import resolve
 from ..workloads.datagen import Dataset, dataset_for
 from .elastic import ElasticConfig, ElasticPartitioner
 from .jobs import Job, JobQueue, JobRequest, JobResult, JobState
-from .placement import Placement, SlicePool
+from .placement import SlicePool
 from .programs import CompiledProgram, ProgramCache
 from .stats import LatencyTracker, ServiceStats
 from .workers import Wave, WorkerPool
@@ -72,6 +71,16 @@ _ZERO_TOTALS = {
     "lut_evaluations": 0,
     "mac_operations": 0,
     "bus_words": 0,
+}
+
+#: Terminal state -> the ``ServiceStats`` counter it bumps.
+_STATE_COUNTERS = {
+    JobState.DONE: "completed",
+    JobState.REJECTED: "rejected",
+    JobState.FAILED: "failed",
+    JobState.CANCELLED: "cancelled",
+    JobState.TIMED_OUT: "timed_out",
+    JobState.SATURATED: "saturated",
 }
 
 
@@ -101,15 +110,10 @@ class AcceleratorService:
         system: Optional[SystemParams] = None,
         partition: Optional[SlicePartition] = None,
         cache: Optional[ProgramCache] = None,
-        cache_capacity: int = 16,
         cache_dir: Optional[str] = None,
         cache_namespace: Optional[str] = None,
         max_retries: int = 2,
-        retry_backoff_s: float = 0.0,
-        retry_backoff_cap_s: float = 1.0,
-        retry_jitter: float = 0.1,
         batching: bool = True,
-        max_batch_items: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
         optimizer: Optional[OptimizerConfig] = None,
         workers: int = 0,
@@ -124,10 +128,6 @@ class AcceleratorService:
             raise ServiceError("the service needs at least one device")
         if workers < 0:
             raise ServiceError("workers must be >= 0 (0 = synchronous)")
-        if retry_backoff_s < 0 or retry_backoff_cap_s < 0:
-            raise ServiceError("retry backoff must be non-negative")
-        if not 0.0 <= retry_jitter <= 1.0:
-            raise ServiceError("retry jitter must be within [0, 1]")
         if wave_latency_s is not None and wave_latency_s < 0:
             raise ServiceError("wave latency must be non-negative")
         if item_latency_s is not None and item_latency_s < 0:
@@ -149,16 +149,12 @@ class AcceleratorService:
         self.cache = (
             cache if cache is not None
             else ProgramCache(
-                cache_capacity, cache_dir, telemetry=self.telemetry,
+                directory=cache_dir, telemetry=self.telemetry,
                 namespace=cache_namespace,
             )
         )
         self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_backoff_cap_s = retry_backoff_cap_s
-        self.retry_jitter = retry_jitter
         self.batching = batching
-        self.max_batch_items = max_batch_items
         #: Base config for ``submit(..., optimize=True)`` jobs.
         self.optimizer = optimizer or OptimizerConfig()
         #: Emulated device-busy time per wave: the host blocks this long
@@ -206,8 +202,6 @@ class AcceleratorService:
         # only underneath it, never the reverse.
         self._lock = threading.RLock()
         self._job_cv = threading.Condition(self._lock)
-        self._rng = random.Random(0)    # seeded: jitter is replayable
-        self._sleep = time.sleep        # injectable in tests
 
         self.queue = JobQueue(max_depth=max_queue_depth)
         self.jobs: Dict[int, Job] = {}
@@ -221,15 +215,9 @@ class AcceleratorService:
             "warm_waves": 0, "energy_j": 0.0, "energy_items": 0,
         }
         self._closed = False
-        # Construct last: workers start claiming immediately and touch
-        # everything above.
-        self.workers: Optional[WorkerPool] = (
-            WorkerPool(self, workers) if workers else None
-        )
-
-    @property
-    def worker_count(self) -> int:
-        return self.workers.count if self.workers is not None else 0
+        # Construct last: worker threads start claiming immediately and
+        # touch everything above.
+        self.workers = WorkerPool(self, workers)
 
     def __enter__(self) -> "AcceleratorService":
         return self
@@ -319,6 +307,11 @@ class AcceleratorService:
             optimize=optimize, opt_budget_s=opt_budget_s,
         )
         with self._lock:
+            # Re-checked in the step that registers the job: a shutdown
+            # that landed during the compile above has already cancelled
+            # its leftovers, stopped the loop and torn the devices down.
+            if self._closed:
+                raise ServiceError("the service is shut down")
             job = Job(
                 id=self._next_id, request=request,
                 submitted_at=time.perf_counter(),
@@ -327,6 +320,10 @@ class AcceleratorService:
             self._next_id += 1
             self.jobs[job.id] = job
             self._counters["submitted"] += 1
+            queued = False
+            if compiled.ok:
+                self._compiled[job.id] = compiled
+                queued = self.queue.offer(job)
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "service.submissions", "jobs offered to admission"
@@ -338,10 +335,6 @@ class AcceleratorService:
             self._finish(job, JobState.REJECTED, admission=report,
                          error=f"{len(report.errors)} lint error(s)")
             return job
-
-        with self._lock:
-            self._compiled[job.id] = compiled
-            queued = self.queue.offer(job)
         if not queued:
             self._admission_outcome("saturated")
             self._finish(
@@ -356,8 +349,7 @@ class AcceleratorService:
         if self.elastic is not None:
             self.elastic.note_submit()
         self._gauge_queue_depth()
-        if self.workers is not None:
-            self.workers.kick()
+        self.workers.kick()
         return job
 
     def _admission_outcome(self, outcome: str) -> None:
@@ -380,36 +372,16 @@ class AcceleratorService:
                timeout_s: Optional[float] = None) -> JobResult:
         """Block until the job is terminal.
 
-        Synchronous mode pumps the scheduler inline; concurrent mode
+        Without worker threads this pumps the loop inline; with them it
         parks on the completion condition until a worker finishes the
         job.  Raises :class:`ServiceError` if ``timeout_s`` elapses
         first (the job itself keeps whatever state it has).
         """
-        job = self._resolve(job)
-        deadline = (
-            time.perf_counter() + timeout_s if timeout_s is not None else None
-        )
-        if self.workers is not None:
-            with self._job_cv:
-                while not job.done:
-                    if deadline is not None:
-                        remaining = deadline - time.perf_counter()
-                        if remaining <= 0:
-                            raise ServiceError(
-                                f"job {job.id} not finished within {timeout_s}s"
-                            )
-                        self._job_cv.wait(timeout=min(0.1, remaining))
-                    else:
-                        self._job_cv.wait(timeout=0.1)
-        else:
-            while not job.done:
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise ServiceError(
-                        f"job {job.id} not finished within {timeout_s}s"
-                    )
-                self.pump()
-        assert job.result is not None
-        return job.result
+        target = self._resolve(job)
+        self._wait(lambda: target.done, timeout_s,
+                   f"job {target.id} not finished within {timeout_s}s")
+        assert target.result is not None
+        return target.result
 
     def cancel(self, job: Union[Job, int]) -> bool:
         """Cancel a still-queued job; running/terminal jobs are not."""
@@ -434,97 +406,54 @@ class AcceleratorService:
                 raise ServiceError(f"unknown job id {job!r}") from None
 
     # ------------------------------------------------------------------
-    # Synchronous scheduler: one pump = place a wave, execute, complete
+    # The dispatch loop: claim a wave, run it (repeat in WorkerPool)
     # ------------------------------------------------------------------
 
     def pump(self) -> int:
-        """Run one scheduling wave; returns jobs brought to terminal.
+        """Step the dispatch loop inline; returns jobs brought to terminal.
 
-        Only meaningful in synchronous mode — with a worker pool the
-        workers *are* the pump, and calling it would race them.
+        One step claims every placeable wave, so independent jobs
+        co-reside on disjoint slices, then runs each through the loop's
+        runner.  Only a service without worker threads may pump — with
+        threads, the workers *are* the loop, and pumping would race
+        them.
         """
-        if self.workers is not None:
+        if self.workers.count:
             raise ServiceError(
                 "pump() drives a synchronous service; this one dispatches "
                 "through worker threads — use result(), drain(), or "
                 "shutdown() instead"
             )
-        finished = 0
-        waves: List[Wave] = []
-        blocked: List[Job] = []
+        before = self._finished_total()
+        self.workers.step()
+        return self._finished_total() - before
 
+    def _finished_total(self) -> int:
+        with self._lock:
+            return sum(self._counters[key] for key in _STATE_COUNTERS.values())
+
+    def _wait(self, done: Callable[[], bool], timeout_s: Optional[float],
+              error: str) -> None:
+        """Block until ``done()``; raise ``ServiceError(error)`` after
+        ``timeout_s``.  Pumps when there are no worker threads, parks
+        on the completion condition otherwise."""
+        deadline = (
+            time.perf_counter() + timeout_s if timeout_s is not None else None
+        )
         while True:
-            group = self.queue.pop_group(
-                batch=self.batching, max_items=self.max_batch_items
-            )
-            if not group:
-                break
-            live = []
-            for job in group:
-                if self._expired(job):
-                    finished += 1
-                else:
-                    live.append(job)
-            if not live:
-                continue
-            placement = self.pool.acquire(live[0].request.slices)
-            if placement is None:
-                blocked.extend(live)
-                break
-            compiled = self._compiled[live[0].id]
-            wave = Wave(jobs=live, placement=placement, compiled=compiled)
-            # One lifecycle-scoped session per wave: slices are locked
-            # here and guaranteed released after the wave, even if the
-            # run raises (docs/execution.md).
-            try:
-                wave.session = self._open_wave_session(wave)
-            except BaseException as exc:
-                # The popped jobs must not vanish with the exception:
-                # fail them before deciding whether to propagate.
-                self._release_wave(wave)
-                for job in live:
-                    self._finish(job, JobState.FAILED,
-                                 error=f"{type(exc).__name__}: {exc}")
-                    finished += 1
-                if not isinstance(exc, Exception):
-                    raise
-                # Anything else is contained, as a worker contains it:
-                # raising would strand the waves opened above.
-                logger.warning(
-                    "programming a wave of %d job(s) failed: %s",
-                    len(live), exc, exc_info=not isinstance(exc, ReproError),
+            with self._job_cv:
+                if done():
+                    return
+                remaining = (
+                    deadline - time.perf_counter()
+                    if deadline is not None else 0.1
                 )
-                continue
-            now = time.perf_counter()
-            for job in live:
-                job.state = JobState.RUNNING
-                job.started_at = now
-                if self.telemetry.enabled:
-                    self.telemetry.histogram(
-                        "service.queue_wait_s",
-                        "seconds between submission and placement",
-                    ).observe(now - job.submitted_at)
-            waves.append(wave)
-
-        self.queue.requeue(blocked)
-        self._gauge_queue_depth()
-
-        for wave in waves:
-            assert wave.session is not None
-            try:
-                finished += self._execute_wave(
-                    wave.jobs, wave.compiled, wave.session, wave=wave
-                )
-            except Exception as exc:
-                # The same last resort as a crashed worker: a bug below
-                # the wave runner costs this wave, never the pool.
-                logger.exception("wave of %d job(s) crashed", len(wave.jobs))
-                finished += self._abandon_wave(wave, exc)
-            finally:
-                self._close_wave_session(wave)
-                self._release_wave(wave)
-        self._elastic_tick()
-        return finished
+                if remaining <= 0:
+                    raise ServiceError(error)
+                if self.workers.count:
+                    self._job_cv.wait(timeout=min(0.1, remaining))
+                    continue
+            self.pump()
 
     def _expired(self, job: Job) -> bool:
         limit = job.request.timeout_s
@@ -539,10 +468,6 @@ class AcceleratorService:
         )
         return True
 
-    # ------------------------------------------------------------------
-    # Concurrent scheduler: worker claims + wave runner
-    # ------------------------------------------------------------------
-
     def _next_wave(self) -> Optional[Wave]:
         """Claim one placed batch group; ``None`` when nothing placeable.
 
@@ -552,9 +477,7 @@ class AcceleratorService:
         cancelled mid-claim, or lost between queue and pool.
         """
         while True:
-            group = self.queue.pop_group(
-                batch=self.batching, max_items=self.max_batch_items
-            )
+            group = self.queue.pop_group(batch=self.batching)
             if not group:
                 return None
             live = [job for job in group if not self._expired(job)]
@@ -579,54 +502,51 @@ class AcceleratorService:
             return Wave(
                 jobs=live, placement=placement,
                 compiled=self._compiled[live[0].id],
+                queue_depth=len(self.queue),
             )
 
     def _run_wave(self, wave: Wave, worker: int) -> None:
-        """Drive one claimed wave's whole lifecycle on a worker thread."""
+        """Drive one claimed wave's whole lifecycle on the loop's
+        ``worker`` (a thread, or 0 for an inline pump)."""
         tel = self.telemetry
         jobs = wave.jobs
-        compiled = wave.compiled
+        if tel.enabled:
+            tel.gauge(
+                "service.worker_busy",
+                "1 while this worker is executing a wave",
+            ).set(1, worker=worker)
+            tel.gauge(
+                "service.workers_busy",
+                "workers currently executing waves",
+            ).set(self.workers.busy)
+            tel.counter(
+                "service.worker_waves", "waves dispatched, per worker"
+            ).inc(worker=worker)
         try:
+            try:
+                wave.session = self._open_wave_session(wave)
+            except ReproError as exc:
+                logger.warning(
+                    "worker %d: programming a wave of %d job(s) failed: %s",
+                    worker, len(jobs), exc,
+                )
+                for job in jobs:
+                    self._finish(job, JobState.FAILED,
+                                 error=f"{type(exc).__name__}: {exc}")
+                return
+            with tel.span(
+                "service.worker_wave", "service",
+                worker=worker, benchmark=wave.compiled.benchmark,
+                jobs=len(jobs),
+            ):
+                self._execute_wave(wave)
+        finally:
+            self._close_wave_session(wave)
             if tel.enabled:
                 tel.gauge(
                     "service.worker_busy",
                     "1 while this worker is executing a wave",
-                ).set(1, worker=worker)
-                assert self.workers is not None
-                tel.gauge(
-                    "service.workers_busy",
-                    "workers currently executing waves",
-                ).set(self.workers.busy)
-                tel.counter(
-                    "service.worker_waves", "waves dispatched, per worker"
-                ).inc(worker=worker)
-            try:
-                try:
-                    wave.session = self._open_wave_session(wave)
-                except ReproError as exc:
-                    logger.warning(
-                        "worker %d: programming a wave of %d job(s) "
-                        "failed: %s", worker, len(jobs), exc,
-                    )
-                    for job in jobs:
-                        self._finish(job, JobState.FAILED,
-                                     error=f"{type(exc).__name__}: {exc}")
-                    return
-                with tel.span(
-                    "service.worker_wave", "service",
-                    worker=worker, benchmark=compiled.benchmark,
-                    jobs=len(jobs),
-                ):
-                    self._execute_wave(jobs, compiled, wave.session,
-                                       wave=wave)
-            finally:
-                self._close_wave_session(wave)
-                if tel.enabled:
-                    tel.gauge(
-                        "service.worker_busy",
-                        "1 while this worker is executing a wave",
-                    ).set(0, worker=worker)
-        finally:
+                ).set(0, worker=worker)
             self._release_wave(wave)
 
     def _open_wave_session(self, wave: Wave) -> ExecutionSession:
@@ -658,7 +578,7 @@ class AcceleratorService:
             return session
         lease = self.elastic.lease(
             placement,
-            queue_depth=len(self.queue),
+            queue_depth=wave.queue_depth,
             deadline_slack_s=self._tightest_slack(wave.jobs),
             schedule=compiled.schedule,
             items=sum(job.request.items for job in wave.jobs),
@@ -727,54 +647,34 @@ class AcceleratorService:
             wave.released = True
             self.pool.release(wave.placement)
         self._elastic_tick()
-        if self.workers is not None:
-            self.workers.kick()
+        self.workers.kick()
 
-    def _abandon_wave(self, wave: Wave, exc: Exception) -> int:
-        """Last resort when a wave crashed with an unexpected exception
-        (sync pump or worker alike): fail whatever jobs are not
-        terminal yet, naming the exception, and free the slices, so a
-        bug costs one wave, never the pool.  Returns jobs failed."""
+    def _abandon_wave(self, wave: Wave, exc: Exception) -> None:
+        """Last resort when a wave crashed with an unexpected exception:
+        fail whatever jobs are not terminal yet, naming the exception,
+        and free the slices, so a bug costs one wave, never the loop."""
         error = f"wave crashed: {type(exc).__name__}: {exc}"
-        failed = 0
         for job in wave.jobs:
             if not job.done:
                 self._finish(job, JobState.FAILED, error=error)
-                failed += 1
         self._release_wave(wave)
-        return failed
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def _execute_wave(
-        self,
-        group: List[Job],
-        compiled: CompiledProgram,
-        session: ExecutionSession,
-        *,
-        wave: Optional[Wave] = None,
-    ) -> int:
-        finished = 0
+    def _execute_wave(self, wave: Wave) -> None:
         # Deadline re-check at execution start: a job whose deadline
         # lapsed between dequeue/placement and this point must not run
         # (and must not be billed DONE) — it times out before the wave
         # touches its data.
-        live = []
-        for job in group:
-            if self._expired(job):
-                finished += 1
-            else:
-                live.append(job)
-        if not live:
-            return finished
-        group = live
-
-        placement = Placement(
-            device=self.devices.index(session.device),
-            slices=session.slice_indices,
+        group = [job for job in wave.jobs if not self._expired(job)]
+        if not group:
+            return
+        session, compiled, placement = (
+            wave.session, wave.compiled, wave.placement
         )
+        assert session is not None
         scratchpad = session.controllers[0].slice.scratchpad
         assert scratchpad is not None
         pad_words = scratchpad.words
@@ -831,8 +731,7 @@ class AcceleratorService:
                 overhead_s = (
                     sum(r.flush_time_s for r in session.setup_reports)
                     + sum(r.config_time_s for r in session.program_reports)
-                    + (wave.lease.cost_s
-                       if wave is not None and wave.lease is not None
+                    + (wave.lease.cost_s if wave.lease is not None
                        else 0.0)
                 )
                 busy_s = (self.wave_latency_s or 0.0) + (
@@ -843,16 +742,17 @@ class AcceleratorService:
                         kernel.seconds + overhead_s
                     )
                 if busy_s > 0:
-                    self._sleep(busy_s)
+                    time.sleep(busy_s)
         except _WaveDeadline:
-            return finished + self._abort_wave_on_deadline(group)
+            self._abort_wave_on_deadline(group)
+            return
         except ReproError as exc:
             logger.warning("wave of %d job(s) failed: %s", len(group), exc)
             for job in group:
                 self._finish(job, JobState.FAILED,
                              error=f"{type(exc).__name__}: {exc}",
                              placement=placement, batch_size=len(group))
-            return finished + len(group)
+            return
 
         clocking = session.device.system.clocking
         breakdown = self.energy_model.accelerator_energy(
@@ -867,9 +767,7 @@ class AcceleratorService:
             ),
         )
         wave_energy_j = breakdown.total_j + (
-            wave.lease.energy_j
-            if wave is not None and wave.lease is not None
-            else 0.0
+            wave.lease.energy_j if wave.lease is not None else 0.0
         )
         with self._lock:
             self._counters["retries"] += retries
@@ -890,17 +788,14 @@ class AcceleratorService:
                 invocations=dataset.items, retries=retries,
                 batch_size=len(group), placement=placement,
             )
-        return finished + len(group)
 
-    def _abort_wave_on_deadline(self, group: List[Job]) -> int:
+    def _abort_wave_on_deadline(self, group: List[Job]) -> None:
         """A wave overran its tightest deadline mid-execution.
 
         The expired jobs are ``TIMED_OUT``; jobs with slack left go
         back to the queue (an already-admitted job is never dropped).
-        Returns the number brought to terminal.
         """
         now = time.perf_counter()
-        finished = 0
         requeue: List[Job] = []
         for job in group:
             limit = job.request.timeout_s
@@ -909,7 +804,6 @@ class AcceleratorService:
                     job, JobState.TIMED_OUT,
                     error=f"deadline of {limit}s exceeded during execution",
                 )
-                finished += 1
             else:
                 job.state = JobState.PENDING
                 requeue.append(job)
@@ -922,23 +816,7 @@ class AcceleratorService:
                     "service.requeues",
                     "jobs returned to the queue by a deadline abort",
                 ).inc(len(requeue))
-            if self.workers is not None:
-                self.workers.kick()
-        return finished
-
-    def _backoff_delay(self, attempt: int) -> float:
-        """Exponential backoff with seeded jitter for attempt N (1-based)."""
-        if self.retry_backoff_s <= 0:
-            return 0.0
-        delay = min(
-            self.retry_backoff_s * (2.0 ** (attempt - 1)),
-            self.retry_backoff_cap_s,
-        )
-        if self.retry_jitter:
-            with self._lock:
-                spread = 2.0 * self._rng.random() - 1.0
-            delay *= 1.0 + self.retry_jitter * spread
-        return delay
+            self.workers.kick()
 
     def _run_with_retry(
         self,
@@ -952,17 +830,15 @@ class AcceleratorService:
 
         ``CapacityError`` from layout planning is transient — a smaller
         batch fits — so each occurrence (bounded by ``max_retries``)
-        backs off exponentially (doubling from ``retry_backoff_s`` up
-        to ``retry_backoff_cap_s``, with seeded ±``retry_jitter``
-        spread so concurrent workers do not retry in lock-step), then
-        splits the offending chunk and resubmits; chunk order preserves
-        item order, so mismatch indices stay batch-global.
+        splits the offending chunk and resubmits both halves at once
+        (the split is deterministic, so waiting first would gain
+        nothing); chunk order preserves item order, so mismatch indices
+        stay batch-global.
 
         ``deadline`` is the wave's tightest end-to-end deadline (an
         absolute ``perf_counter`` instant): it is checked before every
-        chunk and before every backoff sleep, raising
-        :class:`_WaveDeadline` rather than running work whose requester
-        already gave up.
+        chunk, raising :class:`_WaveDeadline` rather than running work
+        whose requester already gave up.
         """
         attempts = 0
         pending = deque([dataset])
@@ -984,26 +860,13 @@ class AcceleratorService:
                     ).inc()
                 if attempts > self.max_retries or chunk.items <= 1:
                     raise
-                delay = self._backoff_delay(attempts)
-                if (
-                    deadline is not None
-                    and time.perf_counter() + delay > deadline
-                ):
-                    raise _WaveDeadline()
                 half = chunk.items // 2
                 logger.info(
                     "batch of %d items overflowed the scratchpad; "
-                    "retrying as %d + %d after %.3fs (attempt %d/%d)",
-                    chunk.items, half, chunk.items - half, delay,
+                    "retrying as %d + %d (attempt %d/%d)",
+                    chunk.items, half, chunk.items - half,
                     attempts, self.max_retries,
                 )
-                if delay > 0:
-                    if self.telemetry.enabled:
-                        self.telemetry.counter(
-                            "service.retry_backoff_s",
-                            "seconds spent in retry backoff",
-                        ).inc(delay)
-                    self._sleep(delay)
                 pending.appendleft(chunk.slice(half, chunk.items))
                 pending.appendleft(chunk.slice(0, half))
                 continue
@@ -1047,14 +910,7 @@ class AcceleratorService:
                 **fields,
             )
             self._compiled.pop(job.id, None)
-            key = {
-                JobState.DONE: "completed",
-                JobState.REJECTED: "rejected",
-                JobState.FAILED: "failed",
-                JobState.CANCELLED: "cancelled",
-                JobState.TIMED_OUT: "timed_out",
-                JobState.SATURATED: "saturated",
-            }[state]
+            key = _STATE_COUNTERS[state]
             self._counters[key] += 1
             if state is JobState.DONE:
                 self.latencies.add(latency)
@@ -1115,10 +971,8 @@ class AcceleratorService:
                     1 for job in self.jobs.values()
                     if job.state is JobState.RUNNING
                 ),
-                workers=self.worker_count,
-                workers_busy=(
-                    self.workers.busy if self.workers is not None else 0
-                ),
+                workers=self.workers.count,
+                workers_busy=self.workers.busy,
                 slice_utilization=self.pool.utilization(),
                 cache=self.cache.stats(),
                 latency_p50_s=self.latencies.p50,
@@ -1146,43 +1000,30 @@ class AcceleratorService:
     def drain(self, timeout_s: Optional[float] = None) -> None:
         """Block until every submitted job is terminal.
 
-        Synchronous mode pumps inline; concurrent mode waits for the
-        workers to empty the queue.  Raises :class:`ServiceError` if
-        ``timeout_s`` elapses with jobs still outstanding.
+        Without worker threads this pumps inline; with them it waits
+        for the workers to empty the queue.  Raises
+        :class:`ServiceError` if ``timeout_s`` elapses with jobs still
+        outstanding.
         """
-        deadline = (
-            time.perf_counter() + timeout_s if timeout_s is not None else None
-        )
-        if self.workers is None:
-            while True:
-                with self._lock:
-                    if all(job.done for job in self.jobs.values()):
-                        return
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise ServiceError(f"drain did not finish in {timeout_s}s")
-                self.pump()
-        with self._job_cv:
-            while not all(job.done for job in self.jobs.values()):
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise ServiceError(f"drain did not finish in {timeout_s}s")
-                self._job_cv.wait(timeout=0.1)
+        self._wait(lambda: all(job.done for job in self.jobs.values()),
+                   timeout_s, f"drain did not finish in {timeout_s}s")
 
     def shutdown(self, *, drain: bool = True,
                  timeout_s: Optional[float] = None) -> None:
         """Stop the service and unlock every device way (idempotent).
 
-        ``drain=True`` finishes the queued work first; ``drain=False``
-        stops after in-flight waves only (a wave is never interrupted
-        mid-run — its session teardown is what guarantees the ways come
-        back).  Jobs still pending afterwards are ``CANCELLED``, so no
-        submitted job is ever left without a result.
+        ``drain=True`` finishes the queued work first (``drain()``).
+        Then the worker threads stop after their in-flight wave (a wave
+        is never interrupted mid-run — its session teardown is what
+        guarantees the ways come back).  Jobs still pending afterwards
+        are ``CANCELLED``, so no submitted job is ever left without a
+        result.
         """
         if self._closed:
             return
-        if self.workers is not None:
-            self.workers.stop(drain=drain, timeout_s=timeout_s)
-        elif drain:
+        if drain:
             self.drain(timeout_s=timeout_s)
+        self.workers.stop(timeout_s=timeout_s)
         with self._lock:
             self._closed = True
             leftovers = [job for job in self.jobs.values() if not job.done]

@@ -180,6 +180,19 @@ class TestExecution:
             assert totals["invocations"] == 8
             assert session.read(128, 4)[:2] == [11, 12]
 
+    def test_back_to_back_batches_report_their_own_counters(self):
+        device = small_device()
+        with ExecutionSession(device, SlicePartition(4, 2)) as session:
+            session.program(vadd_program())
+            for index in range(len(session.slice_indices)):
+                session.fill(0, [1, 2, 3, 4], slice_index=index)
+                session.fill(64, [10, 10, 10, 10], slice_index=index)
+            first = session.run_batch(8, VADD_MAP)
+            second = session.run_batch(8, VADD_MAP)
+            assert first["invocations"] == second["invocations"] == 8
+            assert first == second
+            assert device.run_batch(8, VADD_MAP) == first
+
     def test_run_requires_program(self):
         with ExecutionSession(small_device(),
                               SlicePartition(4, 2)) as session:

@@ -115,15 +115,6 @@ class TestJobQueue:
         assert group == [a, c]
         assert queue.pop_group() == [b]
 
-    def test_pop_group_respects_batch_cap(self):
-        queue = JobQueue()
-        a, b = job(1), job(2)
-        queue.push(a)
-        queue.push(b)
-        group = queue.pop_group(max_items=3)   # each job has 2 items
-        assert group == [a]
-        assert len(queue) == 1
-
     def test_different_tile_sizes_do_not_batch(self):
         queue = JobQueue()
         a = job(1, mccs_per_tile=1)

@@ -1,7 +1,9 @@
 """AcceleratorService end to end: admission, placement, execution."""
 
 import copy
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -193,6 +195,43 @@ class TestLifecycle:
         assert "deadline" in result.error
         assert service.stats().timed_out == 1
 
+    @pytest.mark.parametrize("workers", (0, 1))
+    def test_submit_racing_shutdown_is_refused(self, workers, monkeypatch):
+        # A shutdown that lands while submit compiles must not leave the
+        # new job PENDING on a closed service (never run, or run on
+        # torn-down devices): the submit is refused instead.
+        service = make_service(workers=workers)
+        queued = service.submit("VADD", 2)
+        lookup = service.cache.lookup
+
+        def racing_lookup(*args, **kwargs):
+            service.shutdown(drain=False, timeout_s=60)
+            return lookup(*args, **kwargs)
+
+        monkeypatch.setattr(service.cache, "lookup", racing_lookup)
+        with pytest.raises(ServiceError):
+            service.submit("VADD", 2)
+        assert queued.done
+        assert all(job.done for job in service.jobs.values())
+
+    @pytest.mark.parametrize("elastic", (False, True))
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_shut_down_service_is_freed_by_refcount(self, workers, elastic):
+        # No reference cycle through the dispatch loop: a shut-down
+        # service must not wait for a full GC to give its memory back.
+        gc.collect()
+        gc.disable()
+        try:
+            service = make_service(workers=workers, elastic=elastic)
+            job = service.submit("VADD", 2)
+            assert service.result(job, timeout_s=60).state is JobState.DONE
+            service.shutdown(timeout_s=60)
+            ref = weakref.ref(service)
+            del service
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_stats_snapshot_counts(self):
         service = make_service()
         service.result(service.submit("VADD", 2))
@@ -239,47 +278,34 @@ class TestCapacityRetry:
         # The failure released its slices.
         assert service.pool.busy_total() == 0
 
-    def test_retry_backs_off_exponentially_with_jitter(self, monkeypatch):
-        self._flaky(monkeypatch, failures=2)
-        service = make_service(
-            max_retries=3, retry_backoff_s=0.01, retry_backoff_cap_s=10.0
+    def test_deadline_abort_requeues_jobs_with_slack(self, monkeypatch):
+        # Two VADD jobs merge into one wave whose first chunk overruns
+        # the tight job's deadline.  The wave aborts: the tight job
+        # times out, the loose one still has slack, so it is requeued
+        # (never dropped) and completes on the next wave.
+        import repro.service.service as service_module
+
+        real = service_module.plan_layout
+        state = {"left": 1}
+
+        def slow_then_overflow(dataset, words, *, pe=None):
+            if state["left"] > 0:
+                state["left"] -= 1
+                time.sleep(0.3)
+                raise CapacityError("transient: batch too large")
+            return real(dataset, words, pe=pe)
+
+        monkeypatch.setattr(
+            service_module, "plan_layout", slow_then_overflow
         )
-        delays = []
-        service._sleep = delays.append
-        result = service.result(service.submit("VADD", 8))
-        assert result.state is JobState.DONE
-        assert result.retries == 2
-        # Base then doubled, each within the +-10% jitter band.
-        assert len(delays) == 2
-        assert 0.009 <= delays[0] <= 0.011
-        assert 0.018 <= delays[1] <= 0.022
-
-    def test_backoff_is_capped(self, monkeypatch):
-        self._flaky(monkeypatch, failures=3)
-        service = make_service(
-            max_retries=4, retry_backoff_s=0.01, retry_backoff_cap_s=0.015,
-            retry_jitter=0.0,
-        )
-        delays = []
-        service._sleep = delays.append
-        assert service.result(service.submit("VADD", 8)).state is JobState.DONE
-        assert delays == [0.01, 0.015, 0.015]
-
-    def test_deadline_cuts_backoff_and_requeues(self, monkeypatch):
-        # The backoff sleep would overshoot the job's deadline, so the
-        # wave aborts without sleeping; the job still has slack, so it
-        # is requeued (never dropped) and completes on the next wave.
-        self._flaky(monkeypatch, failures=1)
-        service = make_service(
-            max_retries=3, retry_backoff_s=5.0, retry_backoff_cap_s=5.0
-        )
-
-        def no_sleep(seconds):
-            raise AssertionError("must not sleep past the deadline")
-
-        service._sleep = no_sleep
-        result = service.result(service.submit("VADD", 4, timeout_s=2.0))
-        assert result.state is JobState.DONE
+        service = make_service(max_retries=3)
+        tight = service.submit("VADD", 2, timeout_s=0.25)
+        loose = service.submit("VADD", 2, seed=1, timeout_s=60.0)
+        service.drain(timeout_s=60)
+        assert tight.state is JobState.TIMED_OUT
+        assert "during execution" in tight.result.error
+        assert loose.state is JobState.DONE
+        assert loose.result.verified
         assert service.stats().requeued == 1
 
 

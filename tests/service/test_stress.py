@@ -102,20 +102,22 @@ class TestHammer:
         assert_devices_idle(service)
 
     def test_results_match_the_synchronous_path(self):
-        spec = [(BENCHES[i % 3], 2 + (i % 3), i) for i in range(12)]
+        spec = [
+            (BENCHES[i % 3], 2 + (i % 3), {"seed": i, "priority": i % 3})
+            for i in range(12)
+        ] + [
+            ("NW", 3, {"seed": 12, "lut_inputs": 4}),
+            ("VADD", 4, {"seed": 13, "slices": 2, "priority": 1}),
+        ]
 
-        def run(workers):
-            service = make_service(workers=workers)
+        def run(workers, elastic):
+            service = make_service(workers=workers, elastic=elastic)
             try:
                 handles = [
-                    service.submit(name, items, seed=seed)
-                    for name, items, seed in spec
+                    service.submit(name, items, **kwargs)
+                    for name, items, kwargs in spec
                 ]
-                if workers:
-                    service.drain(timeout_s=120)
-                else:
-                    while any(not job.done for job in handles):
-                        service.pump()
+                service.drain(timeout_s=120)
                 return [
                     (
                         job.result.benchmark, job.result.items,
@@ -127,7 +129,8 @@ class TestHammer:
             finally:
                 service.shutdown(timeout_s=60)
 
-        assert run(4) == run(0)
+        for elastic in (False, True):
+            assert run(2, elastic) == run(0, elastic), elastic
 
 
 class TestBackpressure:
