@@ -15,13 +15,20 @@ Functionally the slice really stores bytes: a 64-byte line in way *w*
 of set *s* is striped across the way's eight sub-arrays (8 bytes, i.e.
 two 32-bit rows, per sub-array) — mirroring observation 2 of Sec. II
 that sub-arrays of a way operate in lock-step.
+
+Line state and tag live in two ``(sets, ways)`` arrays, so locking or
+flushing a way is a column operation, not a walk over every set.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Type
+
+import numpy as np
 
 from ..errors import CacheError, LockedWayError
 from ..params import SliceParams
@@ -43,6 +50,10 @@ class LineState(enum.Enum):
     DIRTY = 2
 
 
+_INVALID, _CLEAN, _DIRTY = (state.value for state in LineState)
+_TAG_INFO = np.iinfo(np.int64)
+
+
 @dataclass
 class SliceStats:
     """Counters the timing/power models consume."""
@@ -58,12 +69,6 @@ class SliceStats:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
-
-
-@dataclass
-class _LineMeta:
-    state: LineState = LineState.INVALID
-    tag: int = -1
 
 
 @dataclass
@@ -92,12 +97,13 @@ class CacheSlice:
         self.line_bytes = self.params.line_bytes
         self.stats = SliceStats()
 
-        self._meta: List[List[_LineMeta]] = [
-            [_LineMeta() for _ in range(self.ways)] for _ in range(self.sets)
-        ]
-        self._policies: List[ReplacementPolicy] = [
-            policy_cls(self.ways) for _ in range(self.sets)
-        ]
+        self._state = np.full((self.sets, self.ways), _INVALID, dtype=np.int8)
+        self._tag = np.full((self.sets, self.ways), -1, dtype=np.int64)
+        # A set's policy is made on its first fill or hit; until then
+        # it would sit in its initial order anyway.
+        self._policies: Dict[int, ReplacementPolicy] = defaultdict(
+            partial(policy_cls, self.ways)
+        )
         self._way_modes: List[WayMode] = [WayMode.CACHE] * self.ways
         self._data: List[List[DataArray]] = [
             build_way_data_arrays(self.params) for _ in range(self.ways)
@@ -140,16 +146,9 @@ class CacheSlice:
         """
         if mode == WayMode.CACHE:
             raise CacheError("use unlock_ways to return ways to cache mode")
-        flushed: List[EvictedLine] = []
-        for way in ways:
-            self._check_way(way)
-            if self._way_modes[way] != WayMode.CACHE:
-                raise LockedWayError(f"way {way} is already locked")
-        for way in ways:
-            flushed.extend(self.flush_way(way))
-            self._way_modes[way] = mode
-            for array in self._data[way]:
-                array.clear()
+        self._check_ways(ways, locked=False)
+        flushed = [line for way in ways for line in self.flush_way(way)]
+        self._set_mode(ways, mode)
         return flushed
 
     def retarget_ways(self, ways: Sequence[int], mode: WayMode) -> None:
@@ -161,46 +160,32 @@ class CacheSlice:
         """
         if mode == WayMode.CACHE:
             raise CacheError("use unlock_ways to return ways to cache mode")
-        for way in ways:
-            self._check_way(way)
-            if self._way_modes[way] == WayMode.CACHE:
-                raise LockedWayError(
-                    f"way {way} is in cache mode; lock it first"
-                )
-        for way in ways:
-            self._way_modes[way] = mode
-            for array in self._data[way]:
-                array.clear()
+        self._check_ways(ways, locked=True)
+        self._set_mode(ways, mode)
 
     def unlock_ways(self, ways: Sequence[int]) -> None:
-        """Return ways to cache mode with all lines invalid."""
-        for way in ways:
-            self._check_way(way)
-            self._way_modes[way] = WayMode.CACHE
-            for set_index in range(self.sets):
-                self._meta[set_index][way] = _LineMeta()
-            for array in self._data[way]:
-                array.clear()
+        """Return locked ways to cache mode.
+
+        A locked way holds no valid line (``lock_ways`` flushed it and
+        ``fill`` skips it), so nothing needs invalidating.  A way in
+        cache mode is refused: its lines would go without a writeback.
+        """
+        self._check_ways(ways, locked=True)
+        self._set_mode(ways, WayMode.CACHE)
 
     def flush_way(self, way: int) -> List[EvictedLine]:
         """Write back and invalidate every line held in ``way``."""
         self._check_way(way)
-        flushed: List[EvictedLine] = []
-        for set_index in range(self.sets):
-            meta = self._meta[set_index][way]
-            if meta.state is LineState.INVALID:
-                continue
-            dirty = meta.state is LineState.DIRTY
-            data = self._read_line_data(set_index, way) if dirty else b""
-            flushed.append(
-                EvictedLine(set_index, way, meta.tag, dirty, data)
-            )
-            if dirty:
-                self.stats.flushed_dirty_lines += 1
-                self.stats.writebacks += 1
-            else:
-                self.stats.flushed_clean_lines += 1
-            self._meta[set_index][way] = _LineMeta()
+        flushed = [
+            self._evict(set_index, way)
+            for set_index in np.flatnonzero(self._state[:, way]).tolist()
+        ]
+        dirty_lines = sum(line.dirty for line in flushed)
+        self.stats.flushed_dirty_lines += dirty_lines
+        self.stats.writebacks += dirty_lines
+        self.stats.flushed_clean_lines += len(flushed) - dirty_lines
+        self._state[:, way] = _INVALID
+        self._tag[:, way] = -1
         return flushed
 
     # ------------------------------------------------------------------
@@ -211,8 +196,9 @@ class CacheSlice:
         """Return the way holding (set, tag), or None on miss."""
         self._check_set(set_index)
         self.stats.tag_accesses += 1
-        for way, meta in enumerate(self._meta[set_index]):
-            if meta.state is not LineState.INVALID and meta.tag == tag:
+        states = self._state[set_index].tolist()
+        for way, line_tag in enumerate(self._tag[set_index].tolist()):
+            if states[way] != _INVALID and line_tag == tag:
                 if self._way_modes[way] != WayMode.CACHE:
                     raise CacheError("valid line found in a locked way")
                 if touch:
@@ -236,27 +222,22 @@ class CacheSlice:
         the hierarchy can write it back.
         """
         self._check_set(set_index)
+        if not _TAG_INFO.min <= tag <= _TAG_INFO.max:
+            raise CacheError(f"tag {tag} does not fit a 64-bit tag")
+        if data is not None and len(data) != self.line_bytes:
+            raise CacheError(f"line data must be exactly {self.line_bytes} bytes")
         locked = self.locked_ways
         if len(locked) == self.ways:
             raise LockedWayError("no cache ways left: entire slice is compute")
-        metas = self._meta[set_index]
-        valid = [meta.state is not LineState.INVALID for meta in metas]
+        valid = (self._state[set_index] != _INVALID).tolist()
         way = self._policies[set_index].victim(locked, valid)
         victim: Optional[EvictedLine] = None
-        old = metas[way]
-        if old.state is not LineState.INVALID:
+        if self._state[set_index, way] != _INVALID:
+            victim = self._evict(set_index, way)
             self.stats.evictions += 1
-            victim_data = (
-                self._read_line_data(set_index, way)
-                if old.state is LineState.DIRTY
-                else b""
-            )
-            if old.state is LineState.DIRTY:
-                self.stats.writebacks += 1
-            victim = EvictedLine(
-                set_index, way, old.tag, old.state is LineState.DIRTY, victim_data
-            )
-        metas[way] = _LineMeta(LineState.DIRTY if dirty else LineState.CLEAN, tag)
+            self.stats.writebacks += victim.dirty
+        self._state[set_index, way] = _DIRTY if dirty else _CLEAN
+        self._tag[set_index, way] = tag
         self._policies[set_index].touch(way)
         self.stats.fills += 1
         if data is not None:
@@ -272,25 +253,20 @@ class CacheSlice:
         """Overwrite a line's bytes and mark it dirty."""
         self._check_valid(set_index, way)
         self._write_line_data(set_index, way, data)
-        self._meta[set_index][way].state = LineState.DIRTY
+        self._state[set_index, way] = _DIRTY
 
     def line_state(self, set_index: int, way: int) -> LineState:
         self._check_set(set_index)
         self._check_way(way)
-        return self._meta[set_index][way].state
+        return LineState(int(self._state[set_index, way]))
 
     def line_tag(self, set_index: int, way: int) -> int:
         self._check_set(set_index)
         self._check_way(way)
-        return self._meta[set_index][way].tag
+        return int(self._tag[set_index, way])
 
     def dirty_line_count(self) -> int:
-        return sum(
-            1
-            for per_set in self._meta
-            for meta in per_set
-            if meta.state is LineState.DIRTY
-        )
+        return int(np.count_nonzero(self._state == _DIRTY))
 
     # ------------------------------------------------------------------
     # Raw way storage (compute / scratchpad roles)
@@ -333,6 +309,14 @@ class CacheSlice:
     # Internals
     # ------------------------------------------------------------------
 
+    def _evict(self, set_index: int, way: int) -> EvictedLine:
+        """The valid line at (set, way) as it leaves; data only if dirty."""
+        dirty = bool(self._state[set_index, way] == _DIRTY)
+        data = self._read_line_data(set_index, way) if dirty else b""
+        return EvictedLine(
+            set_index, way, int(self._tag[set_index, way]), dirty, data
+        )
+
     def _read_line_data(self, set_index: int, way: int) -> bytes:
         chunks: List[bytes] = []
         for array_index, local_sub, row in self._line_rows(set_index):
@@ -370,6 +354,22 @@ class CacheSlice:
                 for word in range(self._words_per_subarray_per_line):
                     yield array_index, local_sub, base_row + word
 
+    def _check_ways(self, ways: Sequence[int], *, locked: bool) -> None:
+        """Validate every way's role before any way changes."""
+        for way in ways:
+            self._check_way(way)
+            if (self._way_modes[way] != WayMode.CACHE) != locked:
+                role = "locked" if locked else "in cache mode"
+                raise LockedWayError(f"way {way} is not {role}")
+
+    def _set_mode(self, ways: Sequence[int], mode: WayMode) -> None:
+        # Clearing keeps a former role's bytes from showing through a
+        # later fill that carries no data.
+        for way in ways:
+            self._way_modes[way] = mode
+            for array in self._data[way]:
+                array.clear()
+
     def _check_set(self, set_index: int) -> None:
         if not 0 <= set_index < self.sets:
             raise CacheError(f"set {set_index} out of range")
@@ -381,5 +381,5 @@ class CacheSlice:
     def _check_valid(self, set_index: int, way: int) -> None:
         self._check_set(set_index)
         self._check_way(way)
-        if self._meta[set_index][way].state is LineState.INVALID:
+        if self._state[set_index, way] == _INVALID:
             raise CacheError(f"line (set={set_index}, way={way}) is invalid")

@@ -145,7 +145,15 @@ class FoldingSchedule:
     algorithm: str = "list"
 
     def __post_init__(self) -> None:
+        # Lookup tables every executor of this schedule reads; built
+        # once here rather than once per tile per program.
         self.op_by_nid: Dict[int, ScheduledOp] = {op.nid: op for op in self.ops}
+        self.ops_by_cycle: Dict[int, List[ScheduledOp]] = {}
+        for op in self.ops:
+            self.ops_by_cycle.setdefault(op.cycle, []).append(op)
+        self.initial_ff_state: Dict[int, int] = {
+            node.nid: node.payload or 0 for node in self.netlist.flipflops()
+        }
 
     @property
     def fold_cycles(self) -> int:
@@ -186,7 +194,7 @@ class FoldingSchedule:
         }
 
     def ops_at(self, cycle: int) -> List[ScheduledOp]:
-        return [op for op in self.ops if op.cycle == cycle]
+        return list(self.ops_by_cycle.get(cycle, ()))
 
     def cycle_of(self, nid: int) -> Optional[int]:
         op = self.op_by_nid.get(nid)

@@ -162,20 +162,13 @@ class FoldedExecutor:
         )
         self._rows = rows
         self._loaded_segment = -1
-        self._ops_by_cycle: Dict[int, List] = {}
-        for op in schedule.ops:
-            self._ops_by_cycle.setdefault(op.cycle, []).append(op)
         # Sequential state: flip-flop values persist across invocations
         # in the cluster FF banks.
-        self._ff_state: Dict[int, int] = {
-            node.nid: node.payload or 0
-            for node in schedule.netlist.flipflops()
-        }
+        self._ff_state: Dict[int, int] = dict(schedule.initial_ff_state)
 
     def reset_state(self) -> None:
         """Reset all flip-flops to their initial values."""
-        for node in self.schedule.netlist.flipflops():
-            self._ff_state[node.nid] = node.payload or 0
+        self._ff_state.update(self.schedule.initial_ff_state)
 
     @property
     def ff_state(self) -> Dict[int, int]:
@@ -329,7 +322,7 @@ class FoldedExecutor:
                         segment=segment,
                     )
             local_cycle = (cycle - 1) % self._rows + 1
-            ops = self._ops_by_cycle.get(cycle, ())
+            ops = self.schedule.ops_by_cycle.get(cycle, ())
             if emit:
                 telemetry.cycle_event(
                     "fold_step", base_cycle + cycle - 1, track=track,

@@ -350,11 +350,8 @@ class _PlanBuilder:
         netlist = self.netlist
         if netlist.flipflops():
             raise SpecializationUnsupported("sequential netlist (flip-flops)")
-        ops_by_cycle: Dict[int, List] = {}
-        for op in self.schedule.ops:
-            ops_by_cycle.setdefault(op.cycle, []).append(op)
         for cycle in range(1, self.schedule.compute_cycles + 1):
-            for op in ops_by_cycle.get(cycle, ()):
+            for op in self.schedule.ops_by_cycle.get(cycle, ()):
                 node = netlist.nodes[op.nid]
                 if op.slot is OpSlot.LUT:
                     srcs = [self.resolve(f) for f in node.fanins]
@@ -892,7 +889,7 @@ def run_batch_specialized(
         # One instant per folding cycle, as the reference loop emits
         # (docs/observability.md); ``items`` is how many invocations
         # the step stood for.
-        ops_by_cycle = executor._ops_by_cycle
+        ops_by_cycle = executor.schedule.ops_by_cycle
         for cycle in range(1, total_cycles + 1):
             telemetry.cycle_event(
                 "fold_step", base_cycle + cycle - 1, track=track,
