@@ -22,9 +22,15 @@ class DataArray:
     """Two sub-arrays addressed as a contiguous row space."""
 
     def __init__(self, subarray_params: SubarrayParams | None = None,
-                 subarrays: int = 2) -> None:
+                 subarrays: int = 2,
+                 storage: np.ndarray | None = None) -> None:
+        """``storage``, if given, is a ``(subarrays, rows)`` buffer whose
+        rows back the sub-arrays (see :class:`Subarray`)."""
         params = subarray_params or SubarrayParams()
-        self.subarrays: List[Subarray] = [Subarray(params) for _ in range(subarrays)]
+        self.subarrays: List[Subarray] = [
+            Subarray(params, None if storage is None else storage[index])
+            for index in range(subarrays)
+        ]
         self._rows_each = params.rows
 
     @property
@@ -48,16 +54,6 @@ class DataArray:
         sub, local = self._route(row)
         sub.write_row(local, value)
 
-    def load_words(self, start_row: int, words: np.ndarray) -> None:
-        for offset, word in enumerate(words):
-            self.write_row(start_row + offset, int(word))
-
-    def dump_words(self, start_row: int, count: int) -> np.ndarray:
-        return np.array(
-            [self.read_row(start_row + offset) for offset in range(count)],
-            dtype=np.uint32,
-        )
-
     @property
     def access_count(self) -> int:
         return sum(sub.access_count for sub in self.subarrays)
@@ -75,9 +71,13 @@ class DataArray:
             sub.clear()
 
 
-def build_way_data_arrays(slice_params: SliceParams) -> List[DataArray]:
-    """The data arrays composing one way (one per quadrant)."""
+def build_way_data_arrays(slice_params: SliceParams,
+                          storage: np.ndarray) -> List[DataArray]:
+    """The data arrays composing one way (one per quadrant), backed by
+    the way's ``(sub-arrays per way, rows)`` slice of ``storage``."""
+    per_array = slice_params.subarrays_per_data_array
     return [
-        DataArray(slice_params.subarray, slice_params.subarrays_per_data_array)
-        for _ in range(slice_params.quadrants)
+        DataArray(slice_params.subarray, per_array,
+                  storage[quadrant * per_array:(quadrant + 1) * per_array])
+        for quadrant in range(slice_params.quadrants)
     ]

@@ -105,8 +105,16 @@ class CacheSlice:
             partial(policy_cls, self.ways)
         )
         self._way_modes: List[WayMode] = [WayMode.CACHE] * self.ways
+        # One zeroed buffer backs every sub-array of the slice, so rows
+        # nothing has written take no resident host memory.
+        per_way = self.params.subarrays_per_way
+        sram = np.zeros((self.ways * per_way, self.params.subarray.rows),
+                        dtype=np.uint32)
         self._data: List[List[DataArray]] = [
-            build_way_data_arrays(self.params) for _ in range(self.ways)
+            build_way_data_arrays(
+                self.params, sram[way * per_way:(way + 1) * per_way]
+            )
+            for way in range(self.ways)
         ]
 
         # Geometry of a line inside a way's sub-array row space.

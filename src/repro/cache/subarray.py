@@ -24,10 +24,17 @@ class Subarray:
     ``params.access_energy_j``.
     """
 
-    def __init__(self, params: SubarrayParams | None = None) -> None:
+    def __init__(self, params: SubarrayParams | None = None,
+                 storage: np.ndarray | None = None) -> None:
+        """``storage`` is the sub-array's row buffer when its slice
+        backs every sub-array with one array; a standalone sub-array
+        allocates its own."""
         self.params = params or SubarrayParams()
         self.params.validate()
-        self._rows = np.zeros(self.params.rows, dtype=np.uint32)
+        self._rows = (
+            storage if storage is not None
+            else np.zeros(self.params.rows, dtype=np.uint32)
+        )
         self._mask = (1 << self.params.port_bits) - 1
         self.reads = 0
         self.writes = 0
@@ -56,6 +63,15 @@ class Subarray:
         """Read without charging an access (for assertions/tests)."""
         self._check_row(row)
         return int(self._rows[row])
+
+    def peek_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Read in-range ``rows`` without charging an access.
+
+        The compiled plan reads each LUT's configuration row once per
+        run and bills the per-invocation reads in bulk
+        (:meth:`charge_reads`).
+        """
+        return self._rows[rows]
 
     def charge_reads(self, count: int) -> None:
         """Account ``count`` extra row reads without moving data.

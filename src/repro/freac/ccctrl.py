@@ -26,7 +26,13 @@ from .compute_slice import (
     ResizeDelta,
     SlicePartition,
 )
-from .executor import ExecutionStats, FoldedExecutor, StreamBinding
+from .executor import (
+    BatchResult,
+    ExecutionStats,
+    FoldedExecutor,
+    StreamBinding,
+)
+from .specialize import SpecializationUnsupported, run_batch_specialized
 
 
 class ControllerState(enum.Enum):
@@ -93,7 +99,6 @@ class ComputeClusterController:
         self.config_image: Optional[ConfigImage] = None
         self.telemetry = resolve(telemetry)
         self.slice_index = slice_index
-        self._runs = 0
 
     # ------------------------------------------------------------------
     # Steps 1-3: select, flush, lock
@@ -371,7 +376,6 @@ class ComputeClusterController:
             raise ProtocolError("program the accelerator before running")
         if not 0 <= tile < len(self.executors):
             raise DeviceError(f"tile {tile} out of range")
-        self._runs += 1
         return self.executors[tile].run(
             streams=streams,
             bindings=bindings,
@@ -384,42 +388,62 @@ class ComputeClusterController:
         items: int,
         scratchpad_map: Dict[str, StreamBinding],
     ) -> ExecutionStats:
-        """Run ``items`` invocations, round-robin across the tiles.
+        """Run ``items`` invocations, item *i* on tile ``i % tiles``.
 
-        Tiles operate in lock-step on the same schedule, so item *i*
-        goes to tile ``i % tiles`` — the data-parallel split the paper
-        uses ("work is divided evenly across all available accelerator
-        tiles", Sec. V).  Each tile's whole item set is handed to
-        :meth:`FoldedExecutor.run_batch` in one call, which runs it
-        through the program's compiled plan (docs/execution.md).
+        Tiles operate in lock-step on the same schedule — the CC Ctrl
+        sends one configuration address to every tile (Sec. III-C) —
+        and work is "divided evenly across all available accelerator
+        tiles" (Sec. V).  So the program's compiled plan runs once over
+        all of the slice's items; every LUT selects through the
+        configuration rows of its item's tile, and each tile is charged
+        as if it had run its own items (docs/execution.md).  The result
+        equals :meth:`run_batch_reference`, the per-tile oracle, in
+        scratchpad contents and every counter.  Sequential netlists
+        run tile by tile on :meth:`FoldedExecutor.run_batch`, which
+        falls back to the reference loop.
+
+        Returns this batch's own counters, merged over the tiles
+        (:meth:`ExecutionStats.merge`).
         """
         if self.state is not ControllerState.CONFIGURED:
             raise ProtocolError("program the accelerator before running")
+        try:
+            return run_batch_specialized(
+                self.executors, range(items), scratchpad_map=scratchpad_map
+            ).stats
+        except SpecializationUnsupported:
+            return self._run_per_tile(FoldedExecutor.run_batch, items,
+                                      scratchpad_map)
+
+    def run_batch_reference(
+        self,
+        items: int,
+        scratchpad_map: Dict[str, StreamBinding],
+    ) -> ExecutionStats:
+        """The oracle for :meth:`run_batch`: tile *t* runs items
+        ``i ≡ t (mod tiles)`` through the scalar
+        :meth:`FoldedExecutor.run_batch_reference` loop, tile by tile.
+        Tests only."""
+        return self._run_per_tile(FoldedExecutor.run_batch_reference,
+                                  items, scratchpad_map)
+
+    def _run_per_tile(
+        self,
+        run: Callable[..., BatchResult],
+        items: int,
+        scratchpad_map: Dict[str, StreamBinding],
+    ) -> ExecutionStats:
+        if self.state is not ControllerState.CONFIGURED:
+            raise ProtocolError("program the accelerator before running")
+        total = ExecutionStats()
         tiles = len(self.executors)
         for tile, executor in enumerate(self.executors):
             indices = range(tile, items, tiles)
             if indices:
-                executor.run_batch(indices, scratchpad_map=scratchpad_map)
-        total = ExecutionStats()
-        for executor in self.executors:
-            stats = executor.stats
-            total.invocations += stats.invocations
-            total.cycles = max(total.cycles, stats.cycles)
-            total.lut_evaluations += stats.lut_evaluations
-            total.mac_operations += stats.mac_operations
-            total.bus_loads += stats.bus_loads
-            total.bus_stores += stats.bus_stores
-            total.config_words_loaded += stats.config_words_loaded
-            total.config_reloads += stats.config_reloads
-            total.engine_fallbacks += stats.engine_fallbacks
+                total.merge(
+                    run(executor, indices, scratchpad_map=scratchpad_map).stats
+                )
         return total
-
-
-#: The counters a multi-slice batch run reports.
-_BATCH_COUNTERS = (
-    "invocations", "lut_evaluations", "mac_operations", "bus_words",
-    "engine_fallbacks",
-)
 
 
 def run_on_slices(
@@ -437,8 +461,9 @@ def run_on_slices(
     mirroring the paper's data-parallel decomposition.
     ``fill(controller, first, count)`` runs before each non-empty share,
     ``first`` being the share's first batch-global item.  Returns this
-    batch's own counters (deltas), so repeated batches on the same
-    programmed slices never double-count.
+    batch's own counters (each slice's :meth:`ComputeClusterController.
+    run_batch` return, merged, plus ``bus_words``), so repeated batches
+    on the same programmed slices never double-count.
     """
     if per_slice_items is None:
         chunk = -(-items // len(controllers))
@@ -446,21 +471,12 @@ def run_on_slices(
             max(0, min(chunk, items - index * chunk))
             for index in range(len(controllers))
         ]
-    executors = [e for controller in controllers for e in controller.executors]
-
-    def totals() -> Dict[str, int]:
-        return {
-            key: sum(getattr(executor.stats, key) for executor in executors)
-            for key in _BATCH_COUNTERS
-        }
-
-    before = totals()
+    total = ExecutionStats()
     first = 0
     for controller, count in zip(controllers, per_slice_items):
         if count:
             if fill is not None:
                 fill(controller, first, count)
-            controller.run_batch(count, scratchpad_map)
+            total.merge(controller.run_batch(count, scratchpad_map))
         first += count
-    after = totals()
-    return {key: after[key] - before[key] for key in _BATCH_COUNTERS}
+    return dict(total.as_dict(), bus_words=total.bus_words)

@@ -89,6 +89,17 @@ class ExecutionStats:
         """
         return {key: int(value) for key, value in self.__dict__.items()}
 
+    def merge(self, other: "ExecutionStats") -> None:
+        """Add another tile's (or slice's) counters for the same batch.
+
+        Tiles and slices run in parallel, so ``cycles`` is the longest
+        of them; every other counter adds up.
+        """
+        for key, value in other.__dict__.items():
+            mine = getattr(self, key)
+            setattr(self, key,
+                    max(mine, value) if key == "cycles" else mine + value)
+
 
 @dataclass
 class BatchResult:
@@ -98,13 +109,16 @@ class BatchResult:
     ``(items, words)`` array; :meth:`item_outputs` and
     :meth:`item_stores` recover the plain-int view a scalar
     :class:`InvocationResult` gives.  ``engine`` names the path that
-    ran: ``"specialized"`` (the compiled plan) or ``"reference"``.
+    ran: ``"specialized"`` (the compiled plan) or ``"reference"``;
+    ``stats`` holds the counters this batch charged, merged over the
+    tiles that ran it (:meth:`ExecutionStats.merge`).
     """
 
     items: int
     engine: str
     outputs: Dict[str, np.ndarray] = field(default_factory=dict)
     stores: Dict[str, np.ndarray] = field(default_factory=dict)
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
 
     def item_outputs(self, item: int) -> Dict[str, int]:
         return {name: int(col[item]) for name, col in self.outputs.items()}
@@ -419,9 +433,12 @@ class FoldedExecutor:
         (broadcast) or per-lane sequences.
 
         The batch runs through the program's compiled execution plan
-        (:mod:`repro.freac.specialize`).  Runs the plan cannot
-        represent (sequential netlists, ragged streams) fall back to
-        :meth:`run_batch_reference`, counted in
+        (:mod:`repro.freac.specialize`) as its one-tile case: the same
+        pass interpreter serves a whole slice in
+        :meth:`ComputeClusterController.run_batch
+        <repro.freac.ccctrl.ComputeClusterController.run_batch>`.  Runs
+        the plan cannot represent (sequential netlists, ragged streams)
+        fall back to :meth:`run_batch_reference`, counted in
         ``stats.engine_fallbacks``.  Results and every counter are
         bit-for-bit identical between the two paths.
         """
@@ -430,7 +447,7 @@ class FoldedExecutor:
         indices = _item_indices(items)
         try:
             return run_batch_specialized(
-                self,
+                [self],
                 indices,
                 streams=streams,
                 bindings=bindings,
@@ -438,12 +455,14 @@ class FoldedExecutor:
             )
         except SpecializationUnsupported:
             self.stats.engine_fallbacks += 1
-        return self.run_batch_reference(
+        result = self.run_batch_reference(
             indices,
             streams=streams,
             bindings=bindings,
             scratchpad_map=scratchpad_map,
         )
+        result.stats.engine_fallbacks += 1
+        return result
 
     def run_batch_reference(
         self,
@@ -461,6 +480,7 @@ class FoldedExecutor:
         indices = _item_indices(items)
         streams = streams or {}
         bindings = bindings or {}
+        before = self.stats.as_dict()
         results: List[InvocationResult] = []
         for lane, item in enumerate(indices):
             lane_streams = {s: data[lane] for s, data in streams.items()}
@@ -497,6 +517,10 @@ class FoldedExecutor:
             engine="reference",
             outputs=outputs,
             stores=stores,
+            stats=ExecutionStats(**{
+                key: value - before[key]
+                for key, value in self.stats.as_dict().items()
+            }),
         )
 
     # ------------------------------------------------------------------

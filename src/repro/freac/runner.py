@@ -149,7 +149,7 @@ def execute_on_controllers(
 
     Fills and readbacks are issued as one bulk scratchpad transfer per
     stream per slice, and the run itself goes through the batched
-    controller entry point, so each tile's share of the batch runs as
+    controller entry point, so each slice's share of the batch runs as
     one pass over the compiled plan (docs/execution.md).
     """
     if not controllers:

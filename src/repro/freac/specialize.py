@@ -8,7 +8,10 @@ DRAM-PIM LUT inference engines such as LOCALUT) is that at folding
 step *t* every in-flight item selects through the same latched
 configuration row, so the walk vectorizes over the batch axis — and,
 because the walk is the same for every batch of a program, it can be
-compiled once.
+compiled once.  Every tile of a slice runs the same schedule in
+lock-step, so one run of the plan serves the whole slice
+(:meth:`~repro.freac.ccctrl.ComputeClusterController.run_batch`);
+a single executor's batch is its one-tile case.
 
 :func:`build_plan` flattens a :class:`~repro.folding.schedule.FoldingSchedule`
 into a :class:`SpecializedPlan`:
@@ -22,6 +25,9 @@ into a :class:`SpecializedPlan`:
   every LUT of that level with a single gather
   ``(tables >> index) & 1``, where ``index`` comes from the fused
   fanin index arrays; MAC/PACK/bus passes are equally stacked;
+* each LUT instruction is a column that knows the configuration row
+  holding its truth table (MCC, sub-array, folding cycle, 4-LUT
+  half-word), so a run reads the tables from the tiles' SRAM;
 * scratchpad traffic becomes precomputed gather/scatter index maps
   (``base + word_index + item * words_per_item``) issued as one bulk
   :meth:`~repro.freac.scratchpad.Scratchpad.read_words_batch` /
@@ -29,12 +35,15 @@ into a :class:`SpecializedPlan`:
   per-invocation accesses the reference loop charges;
 * all remaining accounting — per-sub-array config-row reads, per-LUT
   reconfiguration/evaluation counts, MAC operation counts, register
-  peak occupancy — is reduced to bulk totals applied once per batch.
+  peak occupancy — is reduced to per-item totals that each tile is
+  charged in bulk for its share of the batch.
 
 ``run_batch_specialized`` is therefore a short sequence of numpy ops
-with zero per-step Python dispatch, bit-exact with the reference loop:
-outputs, stores, AND every access counter, including segment-reload
-and rewind-to-segment-0 charging.
+with zero per-step Python dispatch, bit-exact with running the
+reference loop tile by tile, item *i* on tile ``i % tiles``: outputs,
+stores, AND every access counter, including segment-reload and
+rewind-to-segment-0 charging.  A corrupted configuration row on one
+tile corrupts exactly that tile's items, as it does in the reference.
 
 Unsupported runs (flip-flops: their state threads sequentially from
 item to item; ragged host streams) raise
@@ -66,7 +75,12 @@ import numpy as np
 from ..circuits.netlist import NodeKind, WORD_MASK
 from ..errors import CircuitError, DeviceError
 from ..folding.schedule import FoldingSchedule, OpSlot
-from .executor import BatchResult, FoldedExecutor, StreamBinding
+from .executor import (
+    BatchResult,
+    ExecutionStats,
+    FoldedExecutor,
+    StreamBinding,
+)
 
 
 class SpecializationUnsupported(Exception):
@@ -93,11 +107,11 @@ class _Instr:
     """One schedule op (or materialized PACK) before pass fusion."""
 
     __slots__ = ("kind", "out", "srcs", "table", "stream", "index",
-                 "mcc", "unit", "deps", "order", "positions")
+                 "mcc", "unit", "cycle", "deps", "order", "positions")
 
     def __init__(self, kind: str, out: int, srcs: Sequence[_Source],
                  *, table: int = 0, stream: str = "", index: int = 0,
-                 mcc: int = 0, unit: int = 0,
+                 mcc: int = 0, unit: int = 0, cycle: int = 0,
                  positions: Sequence[int] = ()) -> None:
         self.kind = kind
         self.out = out
@@ -107,6 +121,7 @@ class _Instr:
         self.index = index
         self.mcc = mcc
         self.unit = unit
+        self.cycle = cycle
         self.positions = list(positions)
         self.deps: set = set()
         self.order = -1
@@ -117,9 +132,12 @@ class _LutPass:
     src: np.ndarray      # (n, K) int32 slot ids
     shift: np.ndarray    # (n, K, 1) uint32
     weight: np.ndarray   # (1, K, 1) uint32 — index bit positions
-    table: np.ndarray    # (n, 1) uint32
+    table: np.ndarray    # (n, 1) uint32 — the tables the image writes
     out: np.ndarray      # (n,) int32
     any_shift: bool = True
+    #: This pass's LUT columns in the plan's ``lut_*`` arrays.
+    start: int = 0
+    stop: int = 0
 
 
 @dataclass
@@ -187,9 +205,19 @@ class SpecializedPlan:
     outputs: List[Tuple[str, int, int, int]]  # (name, slot, shift, mask)
     #: stream -> (sorted word indices, last-writer slot per index)
     result_stores: Dict[str, Tuple[List[int], np.ndarray]]
+    # --- configuration rows, one LUT column per LUT instruction, in
+    # pass order (a pass owns columns ``start:stop``) ---
+    lut_tables: np.ndarray    # (N,) uint32 — the table the image writes
+    lut_rows: np.ndarray      # (N,) int64 — row: folding cycle - 1
+    lut_shift: np.ndarray     # (N,) uint32 — a 4-LUT's half of its row
+    lut_mask: np.uint32       # the truth-table width
+    #: (mcc, sub-array, rows) gathered per tile, in ``lut_order``
+    lut_sources: List[Tuple[int, int, np.ndarray]]
+    lut_order: np.ndarray     # (N,) int64 — column -> gathered position
     # --- bulk accounting, per batch item ---
     subarray_reads: List[Tuple[int, int, int]]      # (mcc, subarray, count)
-    lut_charges: List[Tuple[int, int, int, int]]    # (mcc, unit, count, final table)
+    #: (mcc, unit, count, final table, final table's LUT column)
+    lut_charges: List[Tuple[int, int, int, int, int]]
     mac_charges: List[Tuple[int, int]]              # (mcc, count)
     register_bits: List[int]                        # peak bits per mcc
     lut_evaluations: int = 0
@@ -224,6 +252,12 @@ class SpecializedPlan:
                 indices, slots = self.result_stores[stream]
                 h.update(f"s:{stream}:{indices}".encode())
                 h.update(slots.tobytes())
+            for array in (self.lut_tables, self.lut_rows, self.lut_shift,
+                          self.lut_order):
+                h.update(array.tobytes())
+            for mcc, subarray, rows in self.lut_sources:
+                h.update(f"c:{mcc}:{subarray}".encode())
+                h.update(rows.tobytes())
             h.update(repr((self.subarray_reads, self.lut_charges,
                            self.mac_charges, self.register_bits)).encode())
             object.__setattr__(self, "_digest", h.hexdigest())
@@ -359,7 +393,8 @@ class _PlanBuilder:
                     self.node_slots[op.nid] = slot
                     table = node.payload[1] & self.table_mask  # type: ignore[index]
                     self.add_instr(_Instr("lut", slot, srcs, table=table,
-                                          mcc=op.mcc, unit=op.unit))
+                                          mcc=op.mcc, unit=op.unit,
+                                          cycle=cycle))
                 elif op.slot is OpSlot.MAC:
                     srcs = [self.resolve(f) for f in node.fanins]
                     slot = self.new_slot()
@@ -426,11 +461,32 @@ class _PlanBuilder:
             by_level[level].setdefault(key, []).append(instr)
 
         passes: List[object] = []
+        columns: List[_Instr] = []
         for groups in by_level:
             # Load before compute before store within a level is safe:
             # same-level instructions never depend on each other.
             for key in sorted(groups, key=self._group_rank):
-                passes.append(self._fuse(key, groups[key]))
+                pass_ = self._fuse(key, groups[key])
+                if isinstance(pass_, _LutPass):
+                    pass_.start = len(columns)
+                    columns.extend(groups[key])
+                    pass_.stop = len(columns)
+                passes.append(pass_)
+        column_of = {instr.order: column
+                     for column, instr in enumerate(columns)}
+
+        # --- where each LUT column's table lives ---------------------
+        # A 4-LUT row packs two 16-bit tables (paper Sec. III-A).
+        halves = self.lut_inputs == 4
+        sources: Dict[Tuple[int, int], List[int]] = {}
+        for column, instr in enumerate(columns):
+            subarray = instr.unit // 2 if halves else instr.unit
+            sources.setdefault((instr.mcc, subarray), []).append(column)
+        gathered = [column for key in sorted(sources)
+                    for column in sources[key]]
+        lut_order = np.empty(len(columns), dtype=np.int64)
+        lut_order[gathered] = np.arange(len(columns))
+        lut_rows = np.array([i.cycle - 1 for i in columns], dtype=np.int64)
 
         # --- bulk accounting -----------------------------------------
         resources = self.schedule.resources
@@ -441,14 +497,15 @@ class _PlanBuilder:
         totals = {"lut": 0, "mac": 0, "load": 0, "store": 0}
         for instr in self.instrs:
             if instr.kind == "lut":
-                subarray = (instr.unit // 2 if self.lut_inputs == 4
-                            else instr.unit)
+                subarray = instr.unit // 2 if halves else instr.unit
                 sa_reads[(instr.mcc, subarray)] = (
                     sa_reads.get((instr.mcc, subarray), 0) + 1
                 )
-                entry = lut_units.setdefault((instr.mcc, instr.unit), [0, 0])
+                entry = lut_units.setdefault((instr.mcc, instr.unit),
+                                             [0, 0, 0])
                 entry[0] += 1
                 entry[1] = instr.table
+                entry[2] = column_of[instr.order]
                 register_bits[instr.mcc] += 1
                 totals["lut"] += 1
             elif instr.kind == "mac":
@@ -480,8 +537,20 @@ class _PlanBuilder:
             passes=passes,
             outputs=outputs,
             result_stores=result_stores,
+            lut_tables=np.array([i.table for i in columns], dtype=np.uint32),
+            lut_rows=lut_rows,
+            lut_shift=np.array(
+                [16 * (i.unit % 2) if halves else 0 for i in columns],
+                dtype=np.uint32,
+            ),
+            lut_mask=np.uint32(self.table_mask),
+            lut_sources=[
+                (mcc, subarray, lut_rows[sources[(mcc, subarray)]])
+                for mcc, subarray in sorted(sources)
+            ],
+            lut_order=lut_order,
             subarray_reads=[(m, s, c) for (m, s), c in sorted(sa_reads.items())],
-            lut_charges=[(m, u, c, t) for (m, u), (c, t)
+            lut_charges=[(m, u, c, t, col) for (m, u), (c, t, col)
                          in sorted(lut_units.items())],
             mac_charges=sorted(mac_ops.items()),
             register_bits=register_bits,
@@ -711,25 +780,172 @@ def _charge_segment(executor: FoldedExecutor, segment: int,
                   tile=executor.trace_track)
 
 
+def _stream_segments(executor: FoldedExecutor, items: int,
+                     base_cycle: int) -> None:
+    """The configuration traffic of a tile's ``items`` invocations
+    once its first item has segment 0 resident.
+
+    The reference loop streams every window of a segmented schedule in
+    per item, rewinding to segment 0 before each item after the
+    first.  Each window is written physically once, in the reference's
+    order (so the sub-arrays end up holding what the reference leaves),
+    and the repeats are charged in bulk.
+    """
+    segments = executor.segments
+    if segments == 1:
+        return
+    telemetry = executor.telemetry
+    for segment in range(segments):
+        repeats = items - 1 if segment == 0 else items
+        if not repeats:
+            continue
+        executor.load_segment(segment)
+        _charge_segment(executor, segment, repeats - 1)
+        if segment and telemetry.enabled:
+            telemetry.cycle_event(
+                "reconfig", base_cycle + segment * executor._rows,
+                track=executor.trace_track, segment=segment, items=items,
+            )
+
+
+def _config_tables(plan: SpecializedPlan, busy: Sequence[FoldedExecutor],
+                   tiles: int, batch: int) -> Optional[np.ndarray]:
+    """The truth tables the batch's lanes select through, read from
+    the configuration rows of the tiles that received items.
+
+    The reads are not charged: the plan bills every row read per
+    invocation (:func:`_charge_tile`).  ``None`` means each of those
+    tiles holds the plan's own tables, which is the common case.
+    Otherwise the result is ``(N, batch)``, lane *i* selecting through
+    tile ``i % tiles``, or ``(N, 1)`` when every lane agrees.
+
+    On a segmented schedule only each tile's first item can select
+    through its resident segment 0: the reference loop streams every
+    later window in from the image, and reloads segment 0 from the
+    image before each later item.
+    """
+    if not plan.lut_sources:
+        return None
+    rows = busy[0]._rows
+    segmented = busy[0].segments > 1
+    sources = plan.lut_sources
+    if segmented:
+        sources = [(mcc, subarray, np.minimum(read, rows - 1))
+                   for mcc, subarray, read in sources]
+    words = np.concatenate([
+        executor.tile[mcc].subarrays[subarray].peek_rows(read)
+        for executor in busy for mcc, subarray, read in sources
+    ]).reshape(len(busy), -1)[:, plan.lut_order]
+    words = (words >> plan.lut_shift) & plan.lut_mask
+    if segmented:
+        later = plan.lut_rows >= rows
+        words[:, later] = plan.lut_tables[later]
+    if (words == plan.lut_tables).all():
+        return None
+    lanes = np.arange(batch)
+    if segmented:
+        words = np.vstack([words, plan.lut_tables])
+        lane_rows = np.where(lanes < tiles, lanes, len(busy))
+    else:
+        lane_rows = lanes % tiles
+    tables = words[lane_rows].T
+    if (tables == tables[:, :1]).all():
+        tables = tables[:, :1]
+    return np.ascontiguousarray(tables)
+
+
+def _charge_tile(plan: SpecializedPlan, executor: FoldedExecutor,
+                 items: int, latched: Optional[np.ndarray],
+                 base_cycle: int) -> None:
+    """Charge one tile exactly what the reference loop charges for
+    running ``items`` invocations on it, as a handful of bulk adds.
+
+    ``latched`` holds the tables the tile's last item selected through
+    (``None``: the plan's own), so each LUT ends on the table the
+    reference leaves latched.
+    """
+    tile = executor.tile
+    stats = executor.stats
+    schedule = executor.schedule
+    for mcc_index, subarray, count in plan.subarray_reads:
+        tile[mcc_index].subarrays[subarray].charge_reads(count * items)
+    for mcc_index, unit, count, table, column in plan.lut_charges:
+        lut = tile[mcc_index].luts[unit]
+        lut.evaluations += count * items
+        lut.reconfigure(table if latched is None else int(latched[column]))
+        lut.reconfigurations += count * items - 1
+    for mcc_index, count in plan.mac_charges:
+        tile[mcc_index].mac.operations += count * items
+    for mcc_index, bits in enumerate(plan.register_bits):
+        if bits:
+            bank = tile[mcc_index].registers
+            if bits > bank.peak_bits:
+                bank.peak_bits = bits
+    stats.lut_evaluations += plan.lut_evaluations * items
+    stats.mac_operations += plan.mac_operations * items
+    stats.bus_loads += plan.bus_loads * items
+    stats.bus_stores += plan.bus_stores * items
+    stats.cycles += schedule.fold_cycles * items
+    stats.invocations += items
+    telemetry = executor.telemetry
+    if telemetry.enabled:
+        track = executor.trace_track
+        total_cycles = schedule.compute_cycles
+        telemetry.counter(
+            "freac.invocations", "accelerator invocations executed"
+        ).inc(items, tile=track)
+        telemetry.counter(
+            "freac.folding_steps", "folding cycles executed"
+        ).inc(total_cycles * items, tile=track)
+        telemetry.counter(
+            "freac.rows_read",
+            "configuration rows read from compute sub-arrays",
+        ).inc(
+            total_cycles * len(tile) * schedule.resources.luts_per_mcc
+            * items,
+            tile=track,
+        )
+        # One instant per folding cycle, as the reference loop emits
+        # (docs/observability.md); ``items`` is how many invocations
+        # the step stood for.
+        ops_by_cycle = schedule.ops_by_cycle
+        for cycle in range(1, total_cycles + 1):
+            telemetry.cycle_event(
+                "fold_step", base_cycle + cycle - 1, track=track,
+                ops=len(ops_by_cycle.get(cycle, ())), items=items,
+            )
+
+
 def run_batch_specialized(
-    executor: FoldedExecutor,
+    executors: Sequence[FoldedExecutor],
     item_indices: Sequence[int],
     *,
     streams: Optional[Mapping[str, Sequence[Sequence[int]]]] = None,
     bindings: Optional[Mapping[str, object]] = None,
     scratchpad_map: Optional[Mapping[str, StreamBinding]] = None,
 ) -> BatchResult:
-    """Execute a batch through the executor's compiled plan.
+    """Execute a batch through the compiled plan, lane *i* on tile
+    ``i % len(executors)``.
+
+    The tiles run one schedule in lock-step, so one pass over the plan
+    serves every lane.  Each LUT pass selects through the tables the
+    lanes' tiles hold in their configuration rows
+    (:func:`_config_tables`); each tile is then charged as if it had
+    run its own lanes through the reference loop
+    (:meth:`FoldedExecutor.run_batch_reference`).  Tiles with no lane
+    read nothing and are charged nothing.
 
     Raises :class:`SpecializationUnsupported` (no plan for this
     netlist, or ragged inputs) before touching any state, so the
     caller can fall back to the reference loop.
     """
-    if executor._loaded_segment < 0:
+    if any(executor._loaded_segment < 0 for executor in executors):
         raise DeviceError("load the configuration before running")
-    if scratchpad_map and executor.scratchpad is None:
+    lead = executors[0]
+    scratchpad = lead.scratchpad
+    if scratchpad_map and scratchpad is None:
         raise DeviceError("scratchpad bindings given but no scratchpad")
-    plan = plan_for(executor.schedule)
+    plan = plan_for(lead.schedule)
     batch = len(item_indices)
     # --- plan phase: convert inputs; nothing is mutated on failure ---
     stream_arrays = _as_item_major(streams or {}, batch)
@@ -740,36 +956,20 @@ def run_batch_specialized(
     indices = (np.asarray(item_indices, dtype=np.int64)
                if scratchpad_map else None)
 
-    stats = executor.stats
-    tile = executor.tile
-    scratchpad = executor.scratchpad
-    telemetry = executor.telemetry
-    emit = telemetry.enabled
-    track = executor.trace_track
-    base_cycle = stats.cycles
-    total_cycles = executor.schedule.compute_cycles
-    segments = executor.segments
-    rows = executor._rows
-
-    # Load each window physically once and charge the other batch
-    # items in bulk.  Segment-0 rewinds: in the reference loop every
-    # item whose run starts with a different segment loaded re-streams
-    # the first window.  Item 1 rewinds iff something later is loaded
-    # now; items 2..B rewind iff the schedule is segmented at all.
-    rewinds = (1 if executor._loaded_segment != 0 else 0)
-    rewinds += batch - 1 if segments > 1 else 0
-    if executor._loaded_segment != 0:
-        executor.load_segment(0)
-        rewinds -= 1
-    _charge_segment(executor, 0, rewinds)
-    for segment in range(1, segments):
-        executor.load_segment(segment)
-        _charge_segment(executor, segment, batch - 1)
-        if emit:
-            telemetry.cycle_event(
-                "reconfig", base_cycle + segment * rows, track=track,
-                segment=segment, items=batch,
-            )
+    tiles = len(executors)
+    busy = executors[:batch]
+    shares = [len(range(tile, batch, tiles)) for tile in range(len(busy))]
+    base_cycles = [executor.stats.cycles for executor in busy]
+    words_before = sum(e.stats.config_words_loaded for e in busy)
+    reloads_before = sum(e.stats.config_reloads for e in busy)
+    # Each tile's first item starts on segment 0: a tile that a
+    # segmented run left on a later window reloads it from the image.
+    for executor in busy:
+        if executor._loaded_segment != 0:
+            executor.load_segment(0)
+    tables = _config_tables(plan, busy, tiles, batch)
+    for executor, items, base_cycle in zip(busy, shares, base_cycles):
+        _stream_segments(executor, items, base_cycle)
 
     # --- the value table and the fused passes ------------------------
     one = np.uint32(1)
@@ -784,13 +984,17 @@ def run_batch_specialized(
     for pass_ in plan.passes:
         kind = type(pass_)
         if kind is _LutPass:
+            # The gather is a fresh copy: shift and mask it in place, so
+            # a wide batch holds one (n, K, batch) temporary, not four.
             src = values[pass_.src]
             if pass_.any_shift:
-                src = src >> pass_.shift
-            index = ((src & one) << pass_.weight).sum(
-                axis=1, dtype=np.uint32
-            )
-            values[pass_.out] = (pass_.table >> index) & one
+                src >>= pass_.shift
+            src &= one
+            src <<= pass_.weight
+            index = src.sum(axis=1, dtype=np.uint32)
+            table = (pass_.table if tables is None
+                     else tables[pass_.start:pass_.stop])
+            values[pass_.out] = (table >> index) & one
         elif kind is _Mac1Pass:
             values[pass_.out] = (
                 values[pass_.a] * values[pass_.b] + values[pass_.c]
@@ -808,10 +1012,10 @@ def run_batch_specialized(
         elif kind is _PackPass:
             src = values[pass_.src]
             if pass_.any_shift:
-                src = src >> pass_.shift
-            values[pass_.out] = ((src & one) << pass_.position).sum(
-                axis=1, dtype=np.uint32
-            )
+                src >>= pass_.shift
+            src &= one
+            src <<= pass_.position
+            values[pass_.out] = src.sum(axis=1, dtype=np.uint32)
         elif kind is _LoadPass:
             stream = pass_.stream
             if stream in scratchpad_map:
@@ -851,50 +1055,27 @@ def run_batch_specialized(
                 )
 
     # --- bulk accounting: exactly what the reference loop charges ----
-    for mcc_index, subarray, count in plan.subarray_reads:
-        tile[mcc_index].subarrays[subarray].charge_reads(count * batch)
-    for mcc_index, unit, count, table in plan.lut_charges:
-        lut = tile[mcc_index].luts[unit]
-        lut.evaluations += count * batch
-        lut.reconfigure(table)
-        lut.reconfigurations += count * batch - 1
-    for mcc_index, count in plan.mac_charges:
-        tile[mcc_index].mac.operations += count * batch
-    for mcc_index, bits in enumerate(plan.register_bits):
-        if bits:
-            bank = tile[mcc_index].registers
-            if bits > bank.peak_bits:
-                bank.peak_bits = bits
-    stats.lut_evaluations += plan.lut_evaluations * batch
-    stats.mac_operations += plan.mac_operations * batch
-    stats.bus_loads += plan.bus_loads * batch
-    stats.bus_stores += plan.bus_stores * batch
-    stats.cycles += executor.schedule.fold_cycles * batch
-    stats.invocations += batch
-    if emit:
-        telemetry.counter(
-            "freac.invocations", "accelerator invocations executed"
-        ).inc(batch, tile=track)
-        telemetry.counter(
-            "freac.folding_steps", "folding cycles executed"
-        ).inc(total_cycles * batch, tile=track)
-        telemetry.counter(
-            "freac.rows_read",
-            "configuration rows read from compute sub-arrays",
-        ).inc(
-            total_cycles * len(tile)
-            * executor.schedule.resources.luts_per_mcc * batch,
-            tile=track,
-        )
-        # One instant per folding cycle, as the reference loop emits
-        # (docs/observability.md); ``items`` is how many invocations
-        # the step stood for.
-        ops_by_cycle = executor.schedule.ops_by_cycle
-        for cycle in range(1, total_cycles + 1):
-            telemetry.cycle_event(
-                "fold_step", base_cycle + cycle - 1, track=track,
-                ops=len(ops_by_cycle.get(cycle, ())), items=batch,
-            )
+    for tile, (executor, items, base_cycle) in enumerate(
+            zip(busy, shares, base_cycles)):
+        latched = None
+        if tables is not None:
+            last = tile + (items - 1) * tiles
+            latched = tables[:, min(last, tables.shape[1] - 1)]
+        _charge_tile(plan, executor, items, latched, base_cycle)
+    stats = ExecutionStats(
+        invocations=batch,
+        cycles=lead.schedule.fold_cycles * shares[0],
+        lut_evaluations=plan.lut_evaluations * batch,
+        mac_operations=plan.mac_operations * batch,
+        bus_loads=plan.bus_loads * batch,
+        bus_stores=plan.bus_stores * batch,
+        config_words_loaded=(
+            sum(e.stats.config_words_loaded for e in busy) - words_before
+        ),
+        config_reloads=(
+            sum(e.stats.config_reloads for e in busy) - reloads_before
+        ),
+    )
 
     outputs = {}
     for name, slot, shift, mask in plan.outputs:
@@ -912,5 +1093,6 @@ def run_batch_specialized(
         for stream, (_indices, slots) in plan.result_stores.items()
     }
     return BatchResult(
-        items=batch, engine="specialized", outputs=outputs, stores=stores
+        items=batch, engine="specialized", outputs=outputs, stores=stores,
+        stats=stats,
     )

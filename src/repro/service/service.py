@@ -99,8 +99,8 @@ class AcceleratorService:
     #: Mutated only under ``self._lock`` (``_job_cv`` wraps the same
     #: lock) — enforced by ``repro.analysis.selfcheck`` in CI.
     _GUARDED_BY_LOCK = (
-        "_next_id", "jobs", "_compiled", "_counters", "_closed",
-        "latencies",
+        "_next_id", "jobs", "_results", "_compiled", "_counters",
+        "_closed", "latencies",
     )
 
     def __init__(
@@ -204,7 +204,11 @@ class AcceleratorService:
         self._job_cv = threading.Condition(self._lock)
 
         self.queue = JobQueue(max_depth=max_queue_depth)
+        #: Jobs not yet terminal.  A finished job leaves only its
+        #: result behind, so a long-lived service holds no request or
+        #: timing record per job it has served.
         self.jobs: Dict[int, Job] = {}
+        self._results: Dict[int, JobResult] = {}
         self._compiled: Dict[int, CompiledProgram] = {}
         self._next_id = 1
         self.latencies = LatencyTracker()
@@ -378,6 +382,8 @@ class AcceleratorService:
         first (the job itself keeps whatever state it has).
         """
         target = self._resolve(job)
+        if isinstance(target, JobResult):
+            return target
         self._wait(lambda: target.done, timeout_s,
                    f"job {target.id} not finished within {timeout_s}s")
         assert target.result is not None
@@ -386,6 +392,8 @@ class AcceleratorService:
     def cancel(self, job: Union[Job, int]) -> bool:
         """Cancel a still-queued job; running/terminal jobs are not."""
         job = self._resolve(job)
+        if isinstance(job, JobResult):
+            return False
         with self._lock:
             # The state check and the finish are one atomic step, so a
             # worker claiming this job concurrently either beats the
@@ -396,14 +404,15 @@ class AcceleratorService:
             self._finish(job, JobState.CANCELLED, error="cancelled by caller")
             return True
 
-    def _resolve(self, job: Union[Job, int]) -> Job:
+    def _resolve(self, job: Union[Job, int]) -> Union[Job, JobResult]:
+        """The job an id names, or the result it left if it finished."""
         if isinstance(job, Job):
             return job
         with self._lock:
-            try:
-                return self.jobs[job]
-            except KeyError:
-                raise ServiceError(f"unknown job id {job!r}") from None
+            found = self.jobs.get(job) or self._results.get(job)
+        if found is None:
+            raise ServiceError(f"unknown job id {job!r}")
+        return found
 
     # ------------------------------------------------------------------
     # The dispatch loop: claim a wave, run it (repeat in WorkerPool)
@@ -910,6 +919,8 @@ class AcceleratorService:
                 **fields,
             )
             self._compiled.pop(job.id, None)
+            self.jobs.pop(job.id, None)
+            self._results[job.id] = job.result
             key = _STATE_COUNTERS[state]
             self._counters[key] += 1
             if state is JobState.DONE:

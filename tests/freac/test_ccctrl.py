@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeviceError, ProtocolError
 from repro.folding import TileResources, list_schedule
+from repro.circuits import CircuitBuilder, technology_map
 from repro.circuits.library import mapped_pe
 from repro.freac.ccctrl import ComputeClusterController, ControllerState
 from repro.freac.compute_slice import ReconfigurableComputeSlice, SlicePartition
@@ -101,6 +102,49 @@ class TestProgramAndRun:
         stats = controller.run_batch(4, binding)
         assert stats.invocations == 4
         assert controller.read_scratchpad(200, 4) == [11, 22, 33, 44]
+
+    def test_back_to_back_batches_report_their_own_counters(self):
+        """Each batch returns its own counters, not running totals."""
+        controller = make_controller()
+        controller.setup(SlicePartition(4, 2))
+        schedule = vadd_schedule()
+        controller.program(schedule)
+        controller.fill_scratchpad(0, [1, 2, 3, 4])
+        controller.fill_scratchpad(100, [10, 20, 30, 40])
+        binding = {
+            "a": StreamBinding(0, 1),
+            "b": StreamBinding(100, 1),
+            "c": StreamBinding(200, 1),
+        }
+        first = controller.run_batch(4, binding)
+        second = controller.run_batch(4, binding)
+        assert first.invocations == second.invocations == 4
+        # Four items on eight tiles: one fold per tile, in parallel.
+        assert first.cycles == second.cycles == schedule.fold_cycles
+        assert first == second
+        assert controller.run_batch_reference(4, binding) == first
+
+    def test_sequential_netlist_falls_back_tile_by_tile(self):
+        """Flip-flop state threads item to item, so each tile runs its
+        own items on the reference loop, one fallback per tile."""
+        builder = CircuitBuilder()
+        word = builder.bus_load("in")
+        state = builder.flipflop(init=0)
+        updated = builder.xor_(state, word.bits[0])
+        builder.bind_flipflop(state, updated)
+        builder.bus_store("out", builder.word_from_bits([updated]))
+        netlist = technology_map(builder.netlist, k=5).netlist
+        controller = make_controller()
+        controller.setup(SlicePartition(2, 2))
+        controller.program(list_schedule(netlist, TileResources()))
+        assert controller.tiles == 4
+        controller.fill_scratchpad(0, [1] * 6)
+        binding = {"in": StreamBinding(0, 1), "out": StreamBinding(100, 1)}
+        stats = controller.run_batch(6, binding)
+        assert stats.invocations == 6
+        assert stats.engine_fallbacks == 4
+        # Tiles 0 and 1 toggle twice (items 0, 4 and 1, 5).
+        assert controller.read_scratchpad(100, 6) == [1, 1, 1, 1, 0, 0]
 
     def test_run_item_tile_bounds(self):
         controller = make_controller()

@@ -1,12 +1,13 @@
 """compiled plan ≡ reference loop, bit for bit.
 
-The production path (``FoldedExecutor.run_batch``, the compiled plan
-of docs/execution.md) must be indistinguishable from the scalar
-per-item loop (``run_batch_reference``, the oracle) in *everything*
-the model exposes: outputs, stores, scratchpad contents, executor
-stats, and every access counter down to the individual sub-arrays.
-These tests run the two side by side on identical hardware state and
-diff all of it.
+The production path (the compiled plan of docs/execution.md, run once
+per slice by ``ComputeClusterController.run_batch`` and once per tile
+by ``FoldedExecutor.run_batch``) must be indistinguishable from the
+scalar per-item loop (``run_batch_reference``, the oracle, tile by
+tile) in *everything* the model exposes: outputs, stores, scratchpad
+contents, executor stats, and every access counter down to the
+individual sub-arrays.  These tests run the two side by side on
+identical hardware state and diff all of it.
 """
 
 import random
@@ -20,6 +21,8 @@ from repro.circuits import CircuitBuilder, simulate, technology_map
 from repro.circuits.library import build_pe, mapped_pe, pe_names
 from repro.errors import DeviceError
 from repro.folding import TileResources, list_schedule
+from repro.folding.schedule import OpSlot
+from repro.freac.ccctrl import ComputeClusterController
 from repro.freac.compute_slice import ReconfigurableComputeSlice, SlicePartition
 from repro.freac.executor import (
     BatchResult,
@@ -28,7 +31,7 @@ from repro.freac.executor import (
     StreamBinding,
 )
 from repro.freac.mcc import MicroComputeCluster
-from repro.params import SubarrayParams
+from repro.params import SliceParams, SubarrayParams
 
 FAST_PES = [name for name in pe_names() if name != "AES"]
 PATHS = ("reference", "specialized")
@@ -86,6 +89,7 @@ def assert_all_equivalent(executors, results):
             reference.stores[stream], result.stores[stream],
             err_msg=f"store {stream!r}",
         )
+    assert result.stats == reference.stats
     assert counters(executors["specialized"]) == counters(
         executors["reference"]
     )
@@ -222,6 +226,120 @@ class TestSegmentedEquivalence:
         assert counters(executors["specialized"]) == counters(
             executors["reference"]
         )
+
+
+def random_netlist(rng, lut_inputs, chain):
+    """A random mapped circuit: gates over two loaded words, a
+    ``chain`` of dependent XORs (depth, hence folding cycles), and a
+    MAC into one stored word."""
+    builder = CircuitBuilder("rand")
+    a = builder.bus_load("in")
+    b = builder.bus_load("in")
+    bits = a.bits[:8] + b.bits[:8]
+    for _ in range(16):
+        x, y = rng.choice(bits), rng.choice(bits)
+        bits.append(builder.xor_(x, y) if rng.random() < 0.5
+                    else builder.and_(x, y))
+    for _ in range(chain):
+        bits.append(builder.xor_(bits[-1], rng.choice(bits[:-1])))
+    word = builder.word_from_bits(bits[-16:])
+    builder.bus_store("out", builder.mac(word, a, b))
+    return technology_map(builder.netlist, k=lut_inputs).netlist
+
+
+def slice_state(controller):
+    """Every counter and SRAM word of a slice, per tile and sub-array."""
+    compute_slice = controller.slice
+    cache = compute_slice.cache
+    subarrays = [
+        sub for way in range(cache.ways)
+        for array in cache.way_arrays(way) for sub in array.subarrays
+    ]
+    return {
+        "tile_stats": [e.stats.as_dict() for e in controller.executors],
+        "subarray_counters": [(sub.reads, sub.writes) for sub in subarrays],
+        "sram": [sub.peek_rows(np.arange(sub.rows)).tolist()
+                 for sub in subarrays],
+        "luts": [
+            [(lut.evaluations, lut.reconfigurations, lut.config)
+             for lut in mcc.luts]
+            for mcc in compute_slice.mccs
+        ],
+        "macs": [mcc.mac.operations for mcc in compute_slice.mccs],
+        "register_peaks": [mcc.registers.peak_bits
+                           for mcc in compute_slice.mccs],
+    }
+
+
+class TestSliceEquivalence:
+    """``ComputeClusterController.run_batch`` (one plan run over the
+    slice) ≡ ``run_batch_reference`` (the scalar loop, tile by tile)."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        items=st.integers(min_value=1, max_value=300),
+        tiles=st.integers(min_value=1, max_value=8),
+        lut_inputs=st.sampled_from((4, 5)),
+        segmented=st.booleans(),
+        corrupt=st.booleans(),
+    )
+    @settings(max_examples=14, deadline=None)
+    def test_slice_run_matches_per_tile_reference(
+        self, seed, items, tiles, lut_inputs, segmented, corrupt
+    ):
+        rng = random.Random(seed)
+        # A tile of ``mccs`` MCCs; every compute-way pair holds four.
+        mccs = rng.choice([m for m in (1, 2, 4) if (tiles * m) % 4 == 0])
+        pairs = tiles * mccs // 4
+        netlist = random_netlist(rng, lut_inputs, chain=40 if segmented
+                                 else rng.choice((0, 24)))
+        schedule = list_schedule(
+            netlist, TileResources(mccs=mccs, lut_inputs=lut_inputs)
+        )
+        # An even row count keeps a way a whole number of cache lines.
+        rows = (2 * max(1, schedule.compute_cycles // 4) if segmented
+                else SubarrayParams().rows)
+        params = SliceParams(subarray=SubarrayParams(size_bytes=4 * rows))
+        partition = SlicePartition(2 * pairs, 20 - 2 * pairs)
+        # A second, short batch enters with the last segment loaded.
+        # Tiny segmented sub-arrays also shrink the scratchpad.
+        second = rng.randint(1, 2 * tiles)
+        items = min(items, partition.scratchpad_ways
+                    * params.subarrays_per_way * rows // 3 - second)
+        span = max(items, second)
+        layout = {
+            "in": StreamBinding(0, 2),
+            "out": StreamBinding(2 * span, 1),
+        }
+        words = [rng.getrandbits(32) for _ in range(2 * span)]
+        lut_ops = [op for op in schedule.ops
+                   if op.slot is OpSlot.LUT and op.cycle <= rows]
+        victim = rng.randrange(tiles)
+        op = rng.choice(lut_ops) if corrupt and lut_ops else None
+
+        twins = {}
+        for path in ("plan", "reference"):
+            controller = ComputeClusterController(
+                ReconfigurableComputeSlice(params)
+            )
+            controller.setup(partition)
+            controller.program(schedule, preflight=False)
+            assert controller.tiles == tiles
+            assert (controller.executors[0].segments > 1) == segmented
+            controller.fill_scratchpad(0, words)
+            if op is not None:
+                # Invert the LUT's truth table in one tile's row.
+                sub = controller.executors[victim].tile[op.mcc].subarrays[
+                    op.unit // 2 if lut_inputs == 4 else op.unit
+                ]
+                table = (0xFFFF << 16 * (op.unit % 2) if lut_inputs == 4
+                         else 0xFFFFFFFF)
+                sub.write_row(op.cycle - 1, sub.peek(op.cycle - 1) ^ table)
+            run = (controller.run_batch if path == "plan"
+                   else controller.run_batch_reference)
+            returned = [run(count, layout) for count in (items, second)]
+            twins[path] = (returned, slice_state(controller))
+        assert twins["plan"] == twins["reference"]
 
 
 class TestScratchpadEquivalence:

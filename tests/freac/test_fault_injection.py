@@ -30,20 +30,37 @@ def make_executor(name="VADD", mccs=1):
     return executor, schedule
 
 
+def corrupt_first_lut_row(executor, schedule):
+    """Invert the truth table in the config row of a scheduled LUT."""
+    lut_op = next(op for op in schedule.ops if op.slot is OpSlot.LUT)
+    subarray = executor.tile[lut_op.mcc].subarrays[lut_op.unit]
+    original = subarray.peek(lut_op.cycle - 1)
+    subarray.write_row(lut_op.cycle - 1, original ^ 0xFFFFFFFF)
+
+
 class TestConfigCorruption:
     def test_flipped_config_row_changes_output(self):
         """The executor computes from SRAM rows, so a single corrupted
         truth table must corrupt the result."""
         executor, schedule = make_executor("VADD")
         baseline = executor.run(streams={"a": [123456], "b": [654321]})
-        # Corrupt the config row of a scheduled LUT (invert its table).
-        lut_op = next(op for op in schedule.ops if op.slot is OpSlot.LUT)
-        mcc = executor.tile[lut_op.mcc]
-        subarray = mcc.subarrays[lut_op.unit]
-        original = subarray.peek(lut_op.cycle - 1)
-        subarray.write_row(lut_op.cycle - 1, original ^ 0xFFFFFFFF)
+        corrupt_first_lut_row(executor, schedule)
         corrupted = executor.run(streams={"a": [123456], "b": [654321]})
         assert corrupted.stores != baseline.stores
+
+    def test_flipped_config_row_changes_batch_output(self):
+        """The production batch path (the compiled plan) reads the same
+        rows, so the same corruption corrupts its result too."""
+        executor, schedule = make_executor("VADD")
+        streams = {"a": [[123456]], "b": [[654321]]}
+        baseline = executor.run_batch(1, streams=streams)
+        corrupt_first_lut_row(executor, schedule)
+        corrupted = executor.run_batch(1, streams=streams)
+        assert corrupted.engine == "specialized"
+        assert corrupted.item_stores(0) != baseline.item_stores(0)
+        assert corrupted.item_stores(0) == executor.run(
+            streams={"a": [123456], "b": [654321]}
+        ).stores
 
     def test_reloading_config_heals_corruption(self):
         executor, schedule = make_executor("VADD")

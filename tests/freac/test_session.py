@@ -18,7 +18,9 @@ from repro.errors import (
     ProtocolError,
     ReproError,
 )
+from repro.folding.schedule import OpSlot
 from repro.freac import ExecutionSession
+from repro.freac.ccctrl import ComputeClusterController
 from repro.freac.compute_slice import SlicePartition
 from repro.freac.device import AcceleratorProgram, FreacDevice
 from repro.freac.executor import FoldedExecutor, StreamBinding
@@ -40,6 +42,29 @@ VADD_MAP = {
     "b": StreamBinding(64, 1),
     "c": StreamBinding(128, 1),
 }
+
+
+def count_scalar_items(monkeypatch):
+    """Count the items the scalar loop (``FoldedExecutor.run``) runs."""
+    calls = []
+    run = FoldedExecutor.run
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(FoldedExecutor, "run", counting)
+    return calls
+
+
+def use_oracle(monkeypatch):
+    """Run every slice through the per-tile scalar oracle; returns the
+    scalar item counter."""
+    monkeypatch.setattr(
+        ComputeClusterController, "run_batch",
+        ComputeClusterController.run_batch_reference,
+    )
+    return count_scalar_items(monkeypatch)
 
 
 class TestLifecycle:
@@ -207,11 +232,8 @@ class TestExecution:
 
     @pytest.mark.parametrize("path", ("reference", "specialized"))
     def test_execute_dataset_end_to_end(self, path, monkeypatch):
-        if path == "reference":
-            monkeypatch.setattr(
-                FoldedExecutor, "run_batch",
-                FoldedExecutor.run_batch_reference,
-            )
+        scalar = (use_oracle(monkeypatch) if path == "reference"
+                  else count_scalar_items(monkeypatch))
         device = small_device()
         dataset = dataset_for("VADD", items=6)
         with ExecutionSession(device, SlicePartition(4, 2)) as session:
@@ -222,6 +244,7 @@ class TestExecution:
         assert mismatched == []
         assert totals["invocations"] == 6
         assert totals["engine_fallbacks"] == 0
+        assert len(scalar) == (6 if path == "reference" else 0)
 
     def test_engines_agree_on_device_counters(self, monkeypatch):
         """The session's plan totals equal the scalar oracle's."""
@@ -238,10 +261,34 @@ class TestExecution:
             return totals
 
         plan = dot_totals()
-        monkeypatch.setattr(
-            FoldedExecutor, "run_batch", FoldedExecutor.run_batch_reference
-        )
+        scalar = use_oracle(monkeypatch)
         assert dot_totals() == plan
+        assert len(scalar) == plan["invocations"] == 5
+
+    @pytest.mark.parametrize("path", ("reference", "specialized"))
+    def test_corrupted_row_corrupts_its_tiles_items(self, path,
+                                                    monkeypatch):
+        """One inverted LUT row on tile 3 of 8 corrupts exactly the
+        items that tile runs: i ≡ 3 (mod 8)."""
+        if path == "reference":
+            use_oracle(monkeypatch)
+        device = small_device()
+        dataset = dataset_for("VADD", items=16)
+        with ExecutionSession(device, SlicePartition(4, 2),
+                              slices=(0,)) as session:
+            session.program(vadd_program())
+            controller = session.controllers[0]
+            assert controller.tiles == 8
+            executor = controller.executors[3]
+            op = next(op for op in executor.schedule.ops
+                      if op.slot is OpSlot.LUT)
+            row = executor.tile[op.mcc].subarrays[op.unit]
+            row.write_row(op.cycle - 1, row.peek(op.cycle - 1) ^ 0xFFFFFFFF)
+            layout = plan_layout(dataset,
+                                 controller.slice.scratchpad.words)
+            totals, mismatched = session.execute(dataset, layout)
+        assert totals["invocations"] == 16
+        assert mismatched == [3, 11]
 
 
 class TestRemovedDelegates:

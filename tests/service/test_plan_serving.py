@@ -1,17 +1,19 @@
 """Serving on the one production engine: the compiled plan.
 
-Every wave runs ``FoldedExecutor.run_batch`` (the compiled plan); the
-scalar loop is reachable only as a test oracle, by swapping
-``run_batch`` for ``run_batch_reference``.  These tests hold the
-serving layer to that: every PE runs on the plan with no fallback, the
-4-input-LUT programs serve on sync, worker and elastic services with
-the reference loop's counters, and a wave that dies with an unexpected
-exception fails its jobs instead of stranding them.
+Every wave runs ``ComputeClusterController.run_batch`` (one compiled
+plan run per slice); the scalar loop is reachable only as a test
+oracle, by swapping it for the controller's per-tile
+``run_batch_reference``.  These tests hold the serving layer to that:
+every PE runs on the plan with no fallback, the 4-input-LUT programs
+serve on sync, worker and elastic services with the reference loop's
+counters, and a wave that dies with an unexpected exception fails its
+jobs instead of stranding them.
 """
 
 import pytest
 
 from repro.circuits.library import pe_names
+from repro.freac.ccctrl import ComputeClusterController
 from repro.freac.executor import FoldedExecutor
 from repro.freac.session import ExecutionSession
 from repro.params import scaled_system
@@ -70,11 +72,23 @@ class TestLut4Serving:
         plan = serve_totals(monkeypatch, lut_inputs=4, **MODES[mode])
         with monkeypatch.context() as oracle:
             oracle.setattr(
-                FoldedExecutor, "run_batch",
-                FoldedExecutor.run_batch_reference,
+                ComputeClusterController, "run_batch",
+                ComputeClusterController.run_batch_reference,
             )
+            scalar = []
+            run = FoldedExecutor.run
+
+            def counting(self, *args, **kwargs):
+                scalar.append(1)
+                return run(self, *args, **kwargs)
+
+            oracle.setattr(FoldedExecutor, "run", counting)
             reference = serve_totals(oracle, lut_inputs=4)
         assert plan == reference
+        # The oracle side really ran the scalar loop, item by item.
+        assert len(scalar) == sum(
+            wave["invocations"] for wave in reference.values()
+        )
 
 
 class TestWaveCrash:

@@ -57,6 +57,16 @@ class TestSubmitResult:
         job = service.submit("VADD", 2)
         assert service.result(job.id).state is JobState.DONE
 
+    def test_finished_job_leaves_only_its_result(self):
+        """A long-lived service keeps no record per served job beyond
+        its result, which stays reachable by id."""
+        service = make_service()
+        job = service.submit("VADD", 2)
+        result = service.result(job)
+        assert job.id not in service.jobs
+        assert service.result(job.id) is result
+        assert not service.cancel(job.id)
+
     def test_unknown_job_id(self):
         with pytest.raises(ServiceError):
             make_service().result(999)
