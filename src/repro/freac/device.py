@@ -23,12 +23,7 @@ from ..memory.dram import DramModel
 from ..params import SystemParams, default_system
 from ..telemetry import Telemetry
 from ..telemetry.core import resolve
-from .ccctrl import (
-    ComputeClusterController,
-    ProgramReport,
-    SetupReport,
-    run_on_slices,
-)
+from .ccctrl import ComputeClusterController, SetupReport, run_on_slices
 from .compute_slice import ReconfigurableComputeSlice, SlicePartition
 from .executor import StreamBinding
 from .hostif import HostInterface
@@ -142,29 +137,6 @@ class FreacDevice:
         if not indices:
             raise ConfigurationError("need at least one slice")
         return [self.controllers[i].setup(partition) for i in indices]
-
-    def _program_slices(
-        self,
-        program: AcceleratorProgram,
-        mccs_per_tile: int,
-        indices: Sequence[int],
-        *,
-        preflight: bool = True,
-    ) -> List[ProgramReport]:
-        """Program exactly ``indices`` with one accelerator schedule."""
-        schedule = program.schedule_for(mccs_per_tile)
-        targets = []
-        for index in indices:
-            if not 0 <= index < self.slice_count:
-                raise ConfigurationError(f"slice {index} out of range")
-            targets.append(self.controllers[index])
-        reports = [
-            controller.program(schedule, preflight=preflight)
-            for controller in targets
-        ]
-        if not reports:
-            raise DeviceError("no slice is partitioned; call setup first")
-        return reports
 
     def _teardown_slices(self, indices: Sequence[int]) -> None:
         for index in indices:

@@ -15,6 +15,12 @@ It pins the slice indices it claimed and the telemetry sink, so the
 runner and the serving layer are thin callers.  It is the **only**
 lifecycle API: the old ``FreacDevice.setup/program/teardown``
 delegates have been removed.
+
+Serving waves run lease → attach → program → run → check-in instead:
+a way partitioner's lease locks (or keeps) the ways, an
+``attach=True`` session verifies that partition rather than flushing
+again and never unlocks, and the lease's check-in decides when the
+ways return to the cache.
 """
 
 from __future__ import annotations
@@ -42,7 +48,9 @@ class ExecutionSession:
 
     Entering the session partitions the chosen slices; leaving it —
     normally or via an exception — releases them back to plain cache.
-    A session is single-use: re-entering a closed session raises.
+    An ``attach=True`` session does neither: it runs on slices a
+    partitioner has already locked and leaves them locked.  A session
+    is single-use: re-entering a closed session raises.
     """
 
     def __init__(
@@ -53,7 +61,6 @@ class ExecutionSession:
         slices: Union[int, Sequence[int], None] = None,
         telemetry: Optional[Telemetry] = None,
         attach: bool = False,
-        release: bool = True,
     ) -> None:
         self.device = device
         self.partition = partition or SlicePartition(
@@ -67,7 +74,6 @@ class ExecutionSession:
         self.setup_reports: List[SetupReport] = []
         self.program_reports: List[ProgramReport] = []
         self._attach = attach
-        self._release = release
         self._active = False
         self._used = False
         self._lifecycle_lock = threading.Lock()
@@ -91,9 +97,9 @@ class ExecutionSession:
             self.device._resolve_slices(self._requested_slices)
         )
         if self._attach:
-            # Warm attach (elastic serving): an ElasticPartitioner has
-            # already partitioned these slices and keeps them locked
-            # between waves; verify instead of re-flushing.
+            # Attach (serving): an ElasticPartitioner has already
+            # partitioned these slices under a lease; verify instead of
+            # re-flushing.
             for index in self.slice_indices:
                 controller = self.device.controllers[index]
                 if controller.state is ControllerState.IDLE:
@@ -140,10 +146,10 @@ class ExecutionSession:
                 return
             self._active = False
         try:
-            if self._release:
+            # An attached session's ways belong to the partitioner that
+            # leased them; it unlocks them at check-in or when idle.
+            if not self._attach:
                 self.device._teardown_slices(self.slice_indices)
-            # release=False (elastic warm sessions): the partitioner
-            # owns the locked ways and reclaims them on idle/drain.
         finally:
             self.program_reports = []
 
@@ -179,35 +185,22 @@ class ExecutionSession:
         mccs_per_tile: int = 1,
         *,
         preflight: bool = True,
-        live: bool = False,
     ) -> List[ProgramReport]:
         """Write the accelerator bitstream into every session slice.
 
-        With ``live=True`` a slice that already holds a program is
-        delta-reprogrammed in place (``ComputeClusterController.
-        reprogram``) — the warm path elastic serving uses — while a
-        merely partitioned slice still takes the full config write.
+        A merely partitioned slice takes the full config write; one
+        that already holds a program (a warm slice a partitioner kept
+        locked) is delta-reprogrammed in place
+        (``ComputeClusterController.reprogram``).
         """
         self._require_active()
-        if not live:
-            self.program_reports = self.device._program_slices(
-                program, mccs_per_tile, self.slice_indices,
-                preflight=preflight,
-            )
-            return self.program_reports
         schedule = program.schedule_for(mccs_per_tile)
-        reports = []
-        for index in self.slice_indices:
-            controller = self.device.controllers[index]
-            if controller.state is ControllerState.CONFIGURED:
-                reports.append(
-                    controller.reprogram(schedule, preflight=preflight)
-                )
-            else:
-                reports.append(
-                    controller.program(schedule, preflight=preflight)
-                )
-        self.program_reports = reports
+        self.program_reports = [
+            controller.reprogram(schedule, preflight=preflight)
+            if controller.state is ControllerState.CONFIGURED
+            else controller.program(schedule, preflight=preflight)
+            for controller in self.controllers
+        ]
         return self.program_reports
 
     def fill(self, start_word: int, values: Sequence[int],

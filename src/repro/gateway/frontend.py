@@ -129,7 +129,7 @@ async def run_gateway(args: argparse.Namespace) -> int:
         )
         if fleet.ways_resized:
             print(
-                f"-- elastic: {fleet.ways_resized} way transitions, "
+                f"-- ways: {fleet.ways_resized} transitions, "
                 f"{aggregate.get('warm_attaches', 0)} warm attaches, "
                 f"{fleet.items_per_joule:.3g} items/J"
             )

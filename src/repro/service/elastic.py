@@ -25,6 +25,11 @@ sits between the service's wave dispatch and the per-slice CC Ctrls:
   smallest allocation that achieves peak items/s-per-watt, so the
   policy never locks ways that only add leakage.
 
+A fixed split is the degenerate policy: :meth:`ElasticConfig.pinned`
+allows one shape and no idle window, so every lease cold-sets-up its
+slices and every check-in tears them down — the paper's
+lock → run → unlock per wave, billed on the same books.
+
 Thread model: the partitioner has one internal lock and is a *leaf* —
 it never calls back into the service, so the service lock (or the pool
 lock) may be held while calling in, never the reverse.
@@ -49,6 +54,20 @@ from ..power.energy import EnergyModel
 from .placement import Placement
 
 
+#: Hysteresis band on ``load``: growth needs at least ``HIGH_WATER``,
+#: a shrink at most ``LOW_WATER``; a load in between holds the shape.
+HIGH_WATER = 1.0
+LOW_WATER = 0.5
+#: Arrivals are converted to expected queue growth over this window.
+ARRIVAL_HORIZON_S = 0.05
+#: Jobs whose deadline slack falls below this boost the load.
+DEADLINE_SLACK_S = 0.25
+#: Latency of re-steering one way's allocation registers (drowsy wake +
+#: tag-mode update, ~8 cycles at 4 GHz); guarantees every resize has a
+#: nonzero billed cost even when no dirty lines needed flushing.
+WAY_SWITCH_S = 2e-9
+
+
 @dataclass(frozen=True)
 class ElasticConfig:
     """Tuning knobs of the elastic policy (picklable for shards).
@@ -56,31 +75,18 @@ class ElasticConfig:
     ``min_compute_ways``/``max_compute_ways`` bound the per-slice
     allocation; growth jumps to the load's desired shape while shrink
     steps down one way-pair at a time.  The hysteresis band is
-    ``low_water < load < high_water`` (no change inside it) plus
+    ``LOW_WATER < load < HIGH_WATER`` (no change inside it) plus
     ``min_dwell_s`` between resizes of the same slice.  A slice idle
     for ``idle_release_s`` is torn down entirely, returning its ways
-    to the cache.
+    to the cache; at 0 that happens at check-in.
     """
 
     min_compute_ways: int = 2
     max_compute_ways: int = 16
-    #: None = keep the service's base scratchpad allocation.
-    scratchpad_ways: Optional[int] = None
     #: Queued jobs that justify one more way pair of compute.
     grow_depth_per_step: int = 2
-    high_water: float = 1.0
-    low_water: float = 0.5
     min_dwell_s: float = 0.02
     idle_release_s: float = 0.25
-    #: Arrivals are converted to expected queue growth over this window.
-    arrival_horizon_s: float = 0.05
-    #: Jobs whose deadline slack falls below this boost the load.
-    deadline_slack_s: float = 0.25
-    #: Latency of re-steering one way's allocation registers (drowsy
-    #: wake + tag-mode update, ~8 cycles at 4 GHz); guarantees every
-    #: resize has a nonzero billed cost even when no dirty lines
-    #: needed flushing.
-    way_switch_s: float = 2e-9
     #: Cap growth at the most items/s-per-watt-efficient shape.
     energy_aware: bool = True
 
@@ -91,10 +97,17 @@ class ElasticConfig:
             raise ServiceError("max_compute_ways must be even")
         if self.max_compute_ways < self.min_compute_ways:
             raise ServiceError("max_compute_ways < min_compute_ways")
-        if self.low_water > self.high_water:
-            raise ServiceError("low_water must not exceed high_water")
-        if self.way_switch_s <= 0:
-            raise ServiceError("way_switch_s must be positive")
+
+    @classmethod
+    def pinned(cls, compute_ways: int) -> "ElasticConfig":
+        """The static policy: one shape, released at every check-in."""
+        if compute_ways < 2:
+            raise ServiceError(
+                f"a static partition needs compute ways, not {compute_ways}"
+            )
+        return cls(min_compute_ways=compute_ways,
+                   max_compute_ways=compute_ways,
+                   idle_release_s=0.0, energy_aware=False)
 
     def target_compute_ways(
         self, current: int, load: float, cap: int
@@ -109,9 +122,9 @@ class ElasticConfig:
         """
         desired = self.min_compute_ways + 2 * int(load)
         desired = max(self.min_compute_ways, min(desired, cap))
-        if desired > current and load >= self.high_water:
+        if desired > current and load >= HIGH_WATER:
             return desired
-        if desired < current and load <= self.low_water:
+        if desired < current and load <= LOW_WATER:
             return max(current - 2, self.min_compute_ways)
         return current
 
@@ -267,12 +280,7 @@ class ElasticPartitioner:
         self.config = config or ElasticConfig()
         self.energy = energy or EnergyModel()
         self.clocking = clocking or FreacClocking()
-        self.base = base_partition
-        self.scratch_ways = (
-            self.config.scratchpad_ways
-            if self.config.scratchpad_ways is not None
-            else base_partition.scratchpad_ways
-        )
+        self.scratch_ways = base_partition.scratchpad_ways
         self.total_ways = base_partition.total_ways
         ceiling = 2 * ((self.total_ways - self.scratch_ways) // 2)
         self.max_ways = min(self.config.max_compute_ways, ceiling)
@@ -286,7 +294,7 @@ class ElasticPartitioner:
         self._lock = threading.RLock()
         self._slices: Dict[Tuple[int, int], _SliceState] = {}
         self._arrivals: Deque[float] = deque(maxlen=512)
-        self._hint_cache: Dict[Tuple[int, int, int, int], int] = {}
+        self._hint_cache: Dict[Tuple[int, ...], int] = {}
         self._counters: Dict[str, float] = {
             "ways_resized": 0,
             "resizes": 0,
@@ -306,26 +314,23 @@ class ElasticPartitioner:
         with self._lock:
             self._arrivals.append(self._clock())
 
-    def arrival_rate(self, window_s: float = 1.0) -> float:
-        """Submissions per second over the trailing window."""
-        now = self._clock()
-        with self._lock:
-            recent = sum(1 for t in self._arrivals if now - t <= window_s)
-        return recent / window_s if window_s > 0 else 0.0
-
     def _load(
         self, queue_depth: int, deadline_slack_s: Optional[float]
     ) -> float:
         """Queued-work pressure in grow steps.  Caller must hold
         ``self._lock`` (reads the arrival deque)."""
-        cfg = self.config
         now = self._clock()
-        expected = sum(
-            1 for t in self._arrivals if now - t <= cfg.arrival_horizon_s
+        # Arrivals are appended in clock order: count back from the
+        # newest and stop at the first one outside the horizon.
+        expected = 0
+        for t in reversed(self._arrivals):
+            if now - t > ARRIVAL_HORIZON_S:
+                break
+            expected += 1
+        load = (queue_depth + expected) / max(
+            1, self.config.grow_depth_per_step
         )
-        load = (queue_depth + expected) / max(1, cfg.grow_depth_per_step)
-        if (deadline_slack_s is not None
-                and deadline_slack_s < cfg.deadline_slack_s):
+        if deadline_slack_s is not None and deadline_slack_s < DEADLINE_SLACK_S:
             load += 1.0
         return load
 
@@ -341,9 +346,11 @@ class ElasticPartitioner:
         # Items enter the key as a power-of-two bucket: the efficient
         # shape depends on batch depth (one item never fills a wide
         # tile array), but caching per exact count would let a sweep
-        # of batch sizes grow the cache without bound.
+        # of batch sizes grow the cache without bound.  LUT width
+        # enters through ``luts_per_mcc``, which the energy model reads.
         key = (
             schedule.resources.mccs,
+            schedule.resources.luts_per_mcc,
             schedule.fold_cycles,
             schedule.bus_words,
             max(items, 1).bit_length(),
@@ -419,7 +426,7 @@ class ElasticPartitioner:
             )
             if current is None:
                 target_ways = self.config.target_compute_ways(
-                    0, max(load, self.config.high_water), cap
+                    0, max(load, HIGH_WATER), cap
                 )
                 target_ways = max(target_ways, self.min_ways)
             else:
@@ -442,38 +449,19 @@ class ElasticPartitioner:
             for state, controller in zip(states, controllers):
                 if controller.state is ControllerState.IDLE:
                     report = controller.setup(target)
-                    changed = target.compute_ways + target.scratchpad_ways
-                    cost = (
-                        report.flush_time_s
-                        + changed * self.config.way_switch_s
-                    )
-                    energy_j = self.energy.reconfiguration_energy(
-                        flushed_bytes=report.flushed_bytes, config_words=0
-                    )
-                    lease.cost_s += cost
-                    lease.energy_j += energy_j
-                    lease.ways_changed += changed
                     lease.cold_slices += 1
-                    lease.resizes += 1
                     self._counters["cold_setups"] += 1
-                    self._bill(changed, cost, energy_j)
+                    self._charge(
+                        lease, target.compute_ways + target.scratchpad_ways,
+                        report.flush_time_s, report.flushed_bytes,
+                    )
                     state.last_resize = now
                 elif controller.slice.partition != target:
-                    report = controller.resize(target)
-                    cost = (
-                        report.flush_time_s
-                        + report.delta.ways_changed
-                        * self.config.way_switch_s
+                    resized = controller.resize(target)
+                    self._charge(
+                        lease, resized.delta.ways_changed,
+                        resized.flush_time_s, resized.delta.flushed_bytes,
                     )
-                    energy_j = self.energy.reconfiguration_energy(
-                        flushed_bytes=report.delta.flushed_bytes,
-                        config_words=0,
-                    )
-                    lease.cost_s += cost
-                    lease.energy_j += energy_j
-                    lease.ways_changed += report.delta.ways_changed
-                    lease.resizes += 1
-                    self._bill(report.delta.ways_changed, cost, energy_j)
                     state.last_resize = now
                 else:
                     lease.warm_slices += 1
@@ -481,6 +469,21 @@ class ElasticPartitioner:
                 state.active = True
                 state.last_used = now
             return lease
+
+    def _charge(self, lease: ElasticLease, ways: int, flush_time_s: float,
+                flushed_bytes: int) -> None:
+        """Bill one slice's way transition to ``lease`` and the books:
+        its flush plus the per-way switch, and the flush energy.
+        Caller must hold ``self._lock``."""
+        cost = flush_time_s + ways * WAY_SWITCH_S
+        energy_j = self.energy.reconfiguration_energy(
+            flushed_bytes=flushed_bytes, config_words=0
+        )
+        lease.cost_s += cost
+        lease.energy_j += energy_j
+        lease.ways_changed += ways
+        lease.resizes += 1
+        self._bill(ways, cost, energy_j)
 
     def _bill(self, ways: int, cost_s: float, energy_j: float) -> None:
         """Accumulate transition costs.  Caller must hold ``self._lock``."""
@@ -501,14 +504,22 @@ class ElasticPartitioner:
             self._counters["resize_energy_j"] += energy_j
 
     def checkin(self, lease: ElasticLease) -> None:
-        """Return a lease's slices to the warm-idle pool."""
+        """Return a lease's slices to the warm-idle pool.
+
+        A slice whose idle window has already passed — at once, under
+        :meth:`ElasticConfig.pinned` — is torn down here, before the
+        caller hands its placement back, so no later wave can attach
+        to a shape that was only leased for this one.
+        """
         with self._lock:
             now = self._clock()
             for index in lease.placement.slices:
-                state = self._slices.get((lease.placement.device, index))
+                key = (lease.placement.device, index)
+                state = self._slices.get(key)
                 if state is not None:
                     state.active = False
                     state.last_used = now
+                    self._reclaim_idle(key, state, now)
 
     def maybe_reclaim(self, now: Optional[float] = None) -> int:
         """Tear down warm slices idle past the release window.
@@ -517,53 +528,55 @@ class ElasticPartitioner:
         touches a slice with an active lease, so a running wave's ways
         cannot be freed under it.
         """
-        released = 0
         with self._lock:
             now = self._clock() if now is None else now
-            for (device, index), state in self._slices.items():
-                if state.active:
-                    continue
-                controller = self.devices[device].controllers[index]
-                if controller.state is ControllerState.IDLE:
-                    continue
-                if now - state.last_used < self.config.idle_release_s:
-                    continue
-                partition = controller.slice.partition
-                ways = (
-                    partition.compute_ways + partition.scratchpad_ways
-                    if partition is not None else 0
-                )
-                controller.teardown()
-                cost = ways * self.config.way_switch_s
-                self._bill(ways, cost, 0.0)
-                self._counters["reclaims"] += 1
-                state.last_resize = now
-                released += ways
-        return released
+            return sum(
+                self._reclaim_idle(key, state, now)
+                for key, state in self._slices.items()
+            )
 
     def drain(self) -> int:
         """Release every warm slice back to all-cache (shutdown path)."""
         released = 0
         with self._lock:
+            now = self._clock()
             for (device, index), state in self._slices.items():
                 if state.active:
                     raise ServiceError(
                         f"cannot drain: slice {index} of device {device} "
                         "has an active lease"
                     )
-                controller = self.devices[device].controllers[index]
-                if controller.state is ControllerState.IDLE:
-                    continue
-                partition = controller.slice.partition
-                ways = (
-                    partition.compute_ways + partition.scratchpad_ways
-                    if partition is not None else 0
-                )
-                controller.teardown()
-                self._bill(ways, ways * self.config.way_switch_s, 0.0)
-                released += ways
+                released += self._teardown((device, index), state, now)
             self._slices.clear()
         return released
+
+    def _reclaim_idle(self, key: Tuple[int, int], state: _SliceState,
+                      now: float) -> int:
+        """Tear one slice down if it is idle past the release window.
+        Caller must hold ``self._lock``."""
+        if state.active or now - state.last_used < self.config.idle_release_s:
+            return 0
+        released = self._teardown(key, state, now)
+        if released:
+            self._counters["reclaims"] += 1
+        return released
+
+    def _teardown(self, key: Tuple[int, int], state: _SliceState,
+                  now: float) -> int:
+        """Return one slice's locked ways to the cache and bill the
+        switch; 0 if it holds none.  Caller must hold ``self._lock``."""
+        controller = self.devices[key[0]].controllers[key[1]]
+        if controller.state is ControllerState.IDLE:
+            return 0
+        partition = controller.slice.partition
+        ways = (
+            partition.compute_ways + partition.scratchpad_ways
+            if partition is not None else 0
+        )
+        controller.teardown()
+        self._bill(ways, ways * WAY_SWITCH_S, 0.0)
+        state.last_resize = now
+        return ways
 
     # ------------------------------------------------------------------
     # Introspection

@@ -210,7 +210,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     if stats.ways_resized:
         print(
-            f"-- elastic: {stats.ways_resized} way transitions "
+            f"-- ways: {stats.ways_resized} transitions "
             f"({stats.resize_cost_s * 1e6:.2f}us), "
             f"{stats.warm_attaches} warm attaches, "
             f"{stats.items_per_joule:.3g} items/J"

@@ -7,13 +7,22 @@ The runtime between many callers and a pool of
    jobs merge into one run), expiring jobs whose deadline passed, and
    claim disjoint slices for it from the pool (best-fit packing, so
    independent jobs co-reside on one device);
-2. **Program** — partition exactly those slices and program them from
-   the compiled-program cache entry;
+2. **Lease and program** — lease exactly those slices from the way
+   partitioner (:mod:`repro.service.elastic`), attach a session to
+   the locked ways and program them from the compiled-program cache
+   entry;
 3. **Execution** — re-check deadlines, fill scratchpads, run, verify,
    with bounded retry: a :class:`~repro.errors.CapacityError` (batch
    too big for the scratchpad) resubmits the chunk at half size
    instead of failing;
-4. **Completion** — per-job results, latency samples, slice release.
+4. **Completion** — per-job results, latency samples, lease check-in,
+   slice release.
+
+That is one lifecycle for both partitioning policies.  A static
+service pins the partitioner to its ``partition``: each lease locks
+the ways and each check-in unlocks them, the paper's per-offload
+lock → run → unlock.  An elastic one (``elastic=``) resizes slices
+with load and keeps them locked and programmed between waves.
 
 Dispatch is one loop — claim a placed wave, run it, repeat — owned by
 :class:`~repro.service.workers.WorkerPool`; ``workers`` only sets how
@@ -177,20 +186,21 @@ class AcceleratorService:
         self.model_latency_scale = model_latency_scale
         #: Energy bookkeeping for items/s-per-watt stats.
         self.energy_model = EnergyModel()
-        #: The elastic way partitioner (docs/elastic.md): ``True`` or
-        #: an :class:`ElasticConfig` turns on per-slice grow/shrink of
-        #: the compute/cache split between waves, warm-slice reuse,
-        #: and live reprogramming.  ``None`` keeps the static
-        #: all-cache-idle behavior (full setup/teardown every wave).
-        self.elastic: Optional[ElasticPartitioner] = None
-        if elastic:
-            self.elastic = ElasticPartitioner(
-                self.devices,
-                self.partition,
-                elastic if isinstance(elastic, ElasticConfig) else None,
-                energy=self.energy_model,
-                clocking=self.devices[0].system.clocking,
-            )
+        #: The way partitioner every wave leases its slices from
+        #: (docs/elastic.md).  ``True`` or an :class:`ElasticConfig`
+        #: grows and shrinks each slice's compute/cache split with load
+        #: and keeps warm slices locked and programmed between waves;
+        #: without it the pinned policy locks ``partition`` for each
+        #: wave and returns the ways to the cache at check-in.
+        self.elastic = ElasticPartitioner(
+            self.devices,
+            self.partition,
+            elastic if isinstance(elastic, ElasticConfig)
+            else ElasticConfig() if elastic
+            else ElasticConfig.pinned(self.partition.compute_ways),
+            energy=self.energy_model,
+            clocking=self.devices[0].system.clocking,
+        )
         #: Invoked once per job right after it reaches a terminal state
         #: (the gateway shard runtime's completion hook).  Called
         #: outside the service lock; exceptions are logged, never
@@ -350,8 +360,7 @@ class AcceleratorService:
             )
             return job
         self._admission_outcome("accepted")
-        if self.elastic is not None:
-            self.elastic.note_submit()
+        self.elastic.note_submit()
         self._gauge_queue_depth()
         self.workers.kick()
         return job
@@ -533,7 +542,7 @@ class AcceleratorService:
             ).inc(worker=worker)
         try:
             try:
-                wave.session = self._open_wave_session(wave)
+                self._open_wave_session(wave)
             except ReproError as exc:
                 logger.warning(
                     "worker %d: programming a wave of %d job(s) failed: %s",
@@ -558,60 +567,38 @@ class AcceleratorService:
                 ).set(0, worker=worker)
             self._release_wave(wave)
 
-    def _open_wave_session(self, wave: Wave) -> ExecutionSession:
-        """Enter and program one wave's session (static or elastic).
+    def _open_wave_session(self, wave: Wave) -> None:
+        """Lease, attach and program one wave's session.
 
-        Static mode is the all-cache-idle lifecycle: partition the
-        placement's slices, write the full bitstream, and (in
-        ``_close_wave_session``) tear everything down after the wave.
-        Elastic mode leases the slices warm from the
-        :class:`ElasticPartitioner` instead — the session *attaches*
-        to the already-locked ways, programs live (delta reprogram on
-        a warm slice, full write on a fresh one), and leaves the ways
-        locked on close for the next wave to reuse.
+        The lease is a cold setup, an in-place resize or a warm attach;
+        the program is a full write on a fresh slice and a delta on a
+        warm one.  Lease and session go on the wave as soon as they
+        exist, so ``_close_wave_session`` checks the lease back in on
+        every path, a failed program included.
         """
         placement, compiled = wave.placement, wave.compiled
-        device = self.devices[placement.device]
-        if self.elastic is None:
-            session = ExecutionSession(
-                device, self.partition, slices=placement.slices,
-            )
-            session.__enter__()
-            # Admission already linted this program's schedule (the
-            # report ships with the cache entry), so skip the
-            # per-executor preflight repeat.
-            session.program(
-                compiled.to_accelerator(), compiled.mccs_per_tile,
-                preflight=False,
-            )
-            return session
-        lease = self.elastic.lease(
+        wave.lease = self.elastic.lease(
             placement,
             queue_depth=wave.queue_depth,
             deadline_slack_s=self._tightest_slack(wave.jobs),
             schedule=compiled.schedule,
             items=sum(job.request.items for job in wave.jobs),
         )
-        wave.lease = lease
-        session = ExecutionSession(
-            device, lease.partition, slices=placement.slices,
-            attach=True, release=False,
+        wave.session = ExecutionSession(
+            self.devices[placement.device], wave.lease.partition,
+            slices=placement.slices, attach=True,
         )
-        try:
-            session.__enter__()
-            reports = session.program(
-                compiled.to_accelerator(), compiled.mccs_per_tile,
-                preflight=False, live=True,
-            )
-        except BaseException:
-            # The lease must not leak: an un-checked-in lease pins the
-            # slice "active" forever and blocks drain/reclaim.
-            session.close()
-            self.elastic.checkin(lease)
-            wave.lease = None
-            raise
-        # Bill the live-reprogram delta (config words that actually
-        # travelled) onto the elastic cost/energy books.
+        wave.session.__enter__()
+        # Admission already linted this program's schedule (the report
+        # ships with the cache entry), so skip the per-executor
+        # preflight repeat.
+        reports = wave.session.program(
+            compiled.to_accelerator(), compiled.mccs_per_tile,
+            preflight=False,
+        )
+        # Bill the config words that actually travelled (the full
+        # bitstream on a fresh slice, the delta on a warm one) onto
+        # the partitioner's cost/energy books.
         config_s = sum(r.config_time_s for r in reports)
         config_words = sum(r.config_words_total for r in reports)
         if config_words or config_s:
@@ -624,13 +611,12 @@ class AcceleratorService:
         if all(r.delta and r.config_words_total == 0 for r in reports):
             with self._lock:
                 self._counters["warm_waves"] += 1
-        return session
 
     def _close_wave_session(self, wave: Wave) -> None:
         """Close a wave's session and check its lease back in."""
         if wave.session is not None:
             wave.session.close()
-        if wave.lease is not None and self.elastic is not None:
+        if wave.lease is not None:
             self.elastic.checkin(wave.lease)
             wave.lease = None
 
@@ -643,11 +629,6 @@ class AcceleratorService:
         ]
         return min(slacks) if slacks else None
 
-    def _elastic_tick(self) -> None:
-        """Between-waves hook: return idle elastic ways to the cache."""
-        if self.elastic is not None:
-            self.elastic.maybe_reclaim()
-
     def _release_wave(self, wave: Wave) -> None:
         """Give a wave's slices back (idempotent) and wake claimers."""
         with self._lock:
@@ -655,7 +636,7 @@ class AcceleratorService:
                 return
             wave.released = True
             self.pool.release(wave.placement)
-        self._elastic_tick()
+        self.elastic.maybe_reclaim()
         self.workers.kick()
 
     def _abandon_wave(self, wave: Wave, exc: Exception) -> None:
@@ -680,10 +661,10 @@ class AcceleratorService:
         group = [job for job in wave.jobs if not self._expired(job)]
         if not group:
             return
-        session, compiled, placement = (
-            wave.session, wave.compiled, wave.placement
+        session, lease, compiled, placement = (
+            wave.session, wave.lease, wave.compiled, wave.placement
         )
-        assert session is not None
+        assert session is not None and lease is not None
         scratchpad = session.controllers[0].slice.scratchpad
         assert scratchpad is not None
         pad_words = scratchpad.words
@@ -733,15 +714,12 @@ class AcceleratorService:
                     ),
                     clocking=session.device.system.clocking,
                 )
-                # Modeled overhead: flush/config of this wave's session
-                # plus (elastic only) the way-transition cost of its
-                # lease.  Warm waves pay neither, which is the whole
-                # point of keeping ways locked between waves.
-                overhead_s = (
-                    sum(r.flush_time_s for r in session.setup_reports)
-                    + sum(r.config_time_s for r in session.program_reports)
-                    + (wave.lease.cost_s if wave.lease is not None
-                       else 0.0)
+                # Modeled overhead: this wave's config writes plus its
+                # lease's way transitions (flushes and way switches).
+                # Warm waves pay neither, which is the whole point of
+                # keeping ways locked between waves.
+                overhead_s = lease.cost_s + sum(
+                    r.config_time_s for r in session.program_reports
                 )
                 busy_s = (self.wave_latency_s or 0.0) + (
                     merged.items * (self.item_latency_s or 0.0)
@@ -775,9 +753,7 @@ class AcceleratorService:
                 >= clocking.large_tile_threshold
             ),
         )
-        wave_energy_j = breakdown.total_j + (
-            wave.lease.energy_j if wave.lease is not None else 0.0
-        )
+        wave_energy_j = breakdown.total_j + lease.energy_j
         with self._lock:
             self._counters["retries"] += retries
             self._counters["batches"] += 1
@@ -956,12 +932,8 @@ class AcceleratorService:
             ).set(len(self.queue))
 
     def stats(self) -> ServiceStats:
-        elastic_counters: Dict[str, float] = (
-            self.elastic.counters() if self.elastic is not None else {}
-        )
-        locked_ways = (
-            self.elastic.locked_ways() if self.elastic is not None else 0
-        )
+        elastic = self.elastic.counters()
+        locked_ways = self.elastic.locked_ways()
         with self._lock:
             energy_j = self._counters["energy_j"]
             energy_items = self._counters["energy_items"]
@@ -989,13 +961,9 @@ class AcceleratorService:
                 latency_p50_s=self.latencies.p50,
                 latency_p95_s=self.latencies.p95,
                 latency_samples=self.latencies.sample_count,
-                ways_resized=int(elastic_counters.get("ways_resized", 0)),
-                resize_cost_s=float(
-                    elastic_counters.get("resize_cost_s", 0.0)
-                ),
-                warm_attaches=int(
-                    elastic_counters.get("warm_attaches", 0)
-                ),
+                ways_resized=int(elastic["ways_resized"]),
+                resize_cost_s=float(elastic["resize_cost_s"]),
+                warm_attaches=int(elastic["warm_attaches"]),
                 warm_waves=self._counters["warm_waves"],
                 locked_ways=locked_ways,
                 energy_j=energy_j,
@@ -1025,10 +993,10 @@ class AcceleratorService:
 
         ``drain=True`` finishes the queued work first (``drain()``).
         Then the worker threads stop after their in-flight wave (a wave
-        is never interrupted mid-run — its session teardown is what
-        guarantees the ways come back).  Jobs still pending afterwards
-        are ``CANCELLED``, so no submitted job is ever left without a
-        result.
+        is never interrupted mid-run, so every lease is checked back in
+        before the partitioner drains its ways).  Jobs still pending
+        afterwards are ``CANCELLED``, so no submitted job is ever left
+        without a result.
         """
         if self._closed:
             return
@@ -1040,13 +1008,12 @@ class AcceleratorService:
             leftovers = [job for job in self.jobs.values() if not job.done]
         for job in leftovers:
             self._finish(job, JobState.CANCELLED, error="service shut down")
-        if self.elastic is not None:
-            try:
-                self.elastic.drain()
-            except ServiceError:
-                # A crashed wave can leave a lease marked active; the
-                # device-wide teardown below force-frees its ways.
-                logger.warning("elastic drain found active leases")
+        try:
+            self.elastic.drain()
+        except ServiceError:
+            # A crashed wave can leave a lease marked active; the
+            # device-wide teardown below force-frees its ways.
+            logger.warning("elastic drain found active leases")
         for device in self.devices:
             device._teardown_slices(range(device.slice_count))
 

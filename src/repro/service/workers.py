@@ -21,7 +21,7 @@ slices, and the loop goes on.  Threads park on a condition variable
 and are kicked by submissions, requeues, and releases; a short poll
 timeout guards against missed wakeups.  :meth:`stop` lets every thread
 finish its in-flight wave and joins it, so by the time it returns
-every session has been torn down.
+every lease has been checked back in.
 
 The pool refers to its service weakly: the service owns the pool, and
 a strong back-reference would keep every shut-down service alive until
@@ -64,13 +64,13 @@ class Wave:
     compiled: CompiledProgram
     session: Optional["ExecutionSession"] = None
     released: bool = field(default=False)
-    #: Elastic serving only: the way lease this wave runs under.
-    #: Checked back in by ``_close_wave_session`` (always, even on
-    #: error paths) so an idle slice's ways can return to the cache.
+    #: The way lease this wave runs under.  Checked back in by
+    #: ``_close_wave_session`` (always, even on error paths) so the
+    #: slice's ways can return to the cache.
     lease: Optional["ElasticLease"] = None
     #: Jobs left queued when this wave was claimed: the backlog its
-    #: elastic lease is sized for, even when the wave runs after the
-    #: rest of an inline step's claims.
+    #: lease is sized for, even when the wave runs after the rest of
+    #: an inline step's claims.
     queue_depth: int = 0
 
 
@@ -151,7 +151,7 @@ class WorkerPool:
             waves = list(iter(service._next_wave, None))
         for wave in waves:
             self._dispatch(service, wave, worker=0)
-        service._elastic_tick()
+        service.elastic.maybe_reclaim()
 
     def _run(self, index: int) -> None:
         service = self._service()
@@ -171,10 +171,10 @@ class WorkerPool:
                 if wave is not None:
                     return wave
                 self._cv.wait(timeout=self._POLL_S)
-                # Idle poll: give the elastic partitioner a chance to
+                # Idle poll: give the way partitioner a chance to
                 # return ways nobody has leased back to the cache.
                 # Lock order is service -> elastic (elastic is a leaf).
-                service._elastic_tick()
+                service.elastic.maybe_reclaim()
         return None
 
     def _dispatch(self, service: "AcceleratorService", wave: Wave,

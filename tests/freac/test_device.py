@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits.library import mapped_pe
-from repro.errors import ConfigurationError, DeviceError
+from repro.errors import ConfigurationError, DeviceError, ProtocolError
 from repro.freac.device import (
     AcceleratorProgram,
     FreacDevice,
@@ -71,8 +71,10 @@ class TestDeviceLifecycle:
 
     def test_program_requires_setup(self, device):
         program = AcceleratorProgram("VADD", mapped_pe("VADD"))
-        with pytest.raises(DeviceError):
-            device._program_slices(program, 1, [])
+        session = ExecutionSession(device, SlicePartition(4, 2))
+        with pytest.raises(ProtocolError):
+            session.program(program, mccs_per_tile=1)
+        assert all(c.state.value == "idle" for c in device.controllers)
 
     def test_program_all_partitioned_slices(self, device):
         program = AcceleratorProgram("VADD", mapped_pe("VADD"))

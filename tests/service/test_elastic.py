@@ -17,6 +17,8 @@ from repro.freac.compute_slice import SlicePartition
 from repro.freac.device import FreacDevice
 from repro.params import scaled_system
 from repro.service.elastic import (
+    HIGH_WATER,
+    LOW_WATER,
     ElasticConfig,
     ElasticPartitioner,
     energy_shape_hint,
@@ -69,10 +71,10 @@ class TestPolicy:
         assert cfg.target_compute_ways(12, load=0.0, cap=16) == 10
 
     def test_band_holds_the_allocation(self):
-        cfg = ElasticConfig(min_compute_ways=2, max_compute_ways=16,
-                            low_water=0.25, high_water=2.0)
-        # Load oscillating inside (low_water, high_water) never moves.
-        for load in (0.5, 1.0, 1.5):
+        cfg = ElasticConfig(min_compute_ways=2, max_compute_ways=16)
+        # Load oscillating inside (LOW_WATER, HIGH_WATER) never moves.
+        for load in (0.6, 0.75, 0.9):
+            assert LOW_WATER < load < HIGH_WATER
             assert cfg.target_compute_ways(8, load=load, cap=16) == 8
 
     def test_never_below_min(self):
@@ -85,7 +87,7 @@ class TestPolicy:
         with pytest.raises(ServiceError):
             ElasticConfig(min_compute_ways=8, max_compute_ways=4)
         with pytest.raises(ServiceError):
-            ElasticConfig(way_switch_s=0.0)
+            ElasticConfig.pinned(0)
 
 
 class TestShapeHint:
@@ -111,6 +113,27 @@ class TestShapeHint:
         assert best.items_per_joule == max(
             c.items_per_joule for c in everything
         )
+
+    def test_growth_cap_depends_on_lut_width(self):
+        # CONV's k=4 and k=5 tile-4 schedules agree on MCCs, fold
+        # cycles and bus words; only luts_per_mcc tells their energy
+        # (and so their efficient cap) apart.
+        k4, k5 = (
+            list_schedule(mapped_pe("CONV", k),
+                          TileResources(mccs=4, lut_inputs=k))
+            for k in (4, 5)
+        )
+        part, _ = partitioner(max_compute_ways=16, energy_aware=True)
+
+        def ways(schedule, index):
+            lease = part.lease(Placement(0, (index,)), queue_depth=64,
+                               schedule=schedule, items=16)
+            part.checkin(lease)
+            return lease.partition.compute_ways
+
+        # A k=5 lease first must not leave its cap behind for k=4.
+        assert ways(k5, 0) == 8
+        assert ways(k4, 1) == 6
 
 
 class TestLeaseLifecycle:
@@ -167,6 +190,23 @@ class TestLeaseLifecycle:
 
 
 class TestReclaimAndDrain:
+    def test_pinned_lease_holds_its_shape_and_checkin_unlocks(self):
+        device = small_device()
+        part = ElasticPartitioner(
+            [device], SlicePartition(compute_ways=6, scratchpad_ways=4),
+            ElasticConfig.pinned(6), clock=FakeClock(),
+        )
+        for depth in (0, 64):
+            lease = part.lease(Placement(0, (0,)), queue_depth=depth,
+                               deadline_slack_s=0.0)
+            assert lease.partition == SlicePartition(6, 4)
+            assert lease.cold_slices == 1
+            part.checkin(lease)
+            # Torn down at check-in, not at the next reclaim tick.
+            assert device.controllers[0].state is ControllerState.IDLE
+        assert part.counters()["reclaims"] == 2
+        assert part.locked_ways() == 0
+
     def test_reclaim_waits_out_the_idle_window(self):
         clock = FakeClock()
         part, device = partitioner(clock=clock, idle_release_s=0.5)
@@ -275,6 +315,57 @@ class TestServiceIntegration:
             assert after.resize_cost_s == before.resize_cost_s
         finally:
             service.shutdown()
+
+    def test_static_service_never_warm_attaches(self, monkeypatch):
+        """Without ``elastic`` every wave locks its ways and unlocks
+        them at check-in, before its slice goes back to the pool."""
+        from repro.service import AcceleratorService
+
+        service = AcceleratorService(
+            system=scaled_system(l3_slices=2), workers=2, batching=False,
+        )
+        locked_on_release = []
+        release = service.pool.release
+
+        def checked_release(placement):
+            controllers = service.devices[placement.device].controllers
+            locked_on_release.extend(
+                index for index in placement.slices
+                if controllers[index].state is not ControllerState.IDLE
+            )
+            release(placement)
+
+        monkeypatch.setattr(service.pool, "release", checked_release)
+        try:
+            jobs = [
+                service.submit(("VADD", "DOT")[i % 2], 2, seed=i)
+                for i in range(16)
+            ]
+            service.drain(timeout_s=60)
+        finally:
+            # Stopping the workers waits out the last wave's check-in,
+            # which may still run after its jobs are done.
+            service.shutdown(timeout_s=60)
+        stats = service.stats()
+        counters = service.elastic.counters()
+        assert all(job.result.verified for job in jobs)
+        assert locked_on_release == []
+        assert stats.warm_attaches == 0 and stats.warm_waves == 0
+        assert stats.batches == 16
+        assert counters["cold_setups"] == counters["reclaims"] == 16
+        # Each wave locked and unlocked 4 + 4 ways; shutdown had
+        # nothing left to unlock.
+        assert stats.ways_resized == 16 * 2 * 8
+        assert stats.locked_ways == 0
+
+    def test_static_partition_needs_compute_ways(self):
+        from repro.service import AcceleratorService
+
+        with pytest.raises(ServiceError):
+            AcceleratorService(
+                system=scaled_system(l3_slices=2),
+                partition=SlicePartition(0, 4),
+            )
 
 
 #: Property-driver op codes: (action, argument).

@@ -129,8 +129,9 @@ class TestHammer:
             finally:
                 service.shutdown(timeout_s=60)
 
+        sync = {elastic: run(0, elastic) for elastic in (False, True)}
         for elastic in (False, True):
-            assert run(2, elastic) == run(0, elastic), elastic
+            assert run(2, elastic) == sync[elastic] == sync[False], elastic
 
 
 class TestBackpressure:
