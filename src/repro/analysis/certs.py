@@ -10,7 +10,7 @@ either trusting stale reports blindly or re-linting every submit.
 
 Verification cost is one canonical-JSON serialisation plus a sha256,
 which is far cheaper than running the ~40-rule netlist + schedule +
-dataflow packs; ``bench_service`` measures the delta.
+dataflow packs.
 
 A certificate goes stale when either side changes: recompiling the
 program changes the digest, adding/removing/re-tiering a rule changes

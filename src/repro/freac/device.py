@@ -142,11 +142,6 @@ class FreacDevice:
         for index in indices:
             self.controllers[index].teardown()
 
-    # The old ``setup``/``program``/``teardown`` delegates (deprecated
-    # since the session API landed) are gone:
-    # :class:`repro.freac.session.ExecutionSession` is the only
-    # lifecycle API (docs/execution.md).
-
     # ------------------------------------------------------------------
     # Functional batch execution (small problem sizes)
     # ------------------------------------------------------------------

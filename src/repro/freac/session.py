@@ -1,10 +1,8 @@
 """``ExecutionSession``: one accelerator lifecycle as a context manager.
 
-The Fig. 5 flow — select/flush/lock ways, write the configuration,
-fill operands, run, unlock — used to be spelled out by every caller as
-``device.setup() → device.program() → … → device.teardown()``, with
-each caller responsible for tearing down on every error path.  The
-session object owns that lifecycle instead:
+The session owns the Fig. 5 flow — select/flush/lock ways, write the
+configuration, fill operands, run, unlock — and tears down on every
+error path:
 
     with ExecutionSession(device, partition, slices=(0, 2)) as session:
         session.program(program, mccs_per_tile=2)
@@ -12,9 +10,7 @@ session object owns that lifecycle instead:
     # ways are unlocked here, even if execute() raised
 
 It pins the slice indices it claimed and the telemetry sink, so the
-runner and the serving layer are thin callers.  It is the **only**
-lifecycle API: the old ``FreacDevice.setup/program/teardown``
-delegates have been removed.
+runner and the serving layer are thin callers.
 
 Serving waves run lease → attach → program → run → check-in instead:
 a way partitioner's lease locks (or keeps) the ways, an

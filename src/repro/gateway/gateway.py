@@ -73,6 +73,17 @@ from .shard import ShardConfig, shard_main
 
 logger = logging.getLogger("repro.gateway")
 
+#: Reroute backoff: doubles from ``retry_backoff_s`` up to this cap,
+#: then jitters by +-``RETRY_JITTER`` (seeded by ``GatewayConfig.seed``).
+RETRY_BACKOFF_CAP_S = 1.0
+RETRY_JITTER = 0.1
+#: A shard takes a key's overflow when the primary's assigned load
+#: exceeds ``SPILL_FACTOR``x the fleet average plus ``SPILL_SLACK``.
+SPILL_FACTOR = 1.25
+SPILL_SLACK = 4
+#: Seconds every shard has to report ready at start.
+START_TIMEOUT_S = 60.0
+
 
 @dataclass
 class GatewayConfig:
@@ -85,19 +96,11 @@ class GatewayConfig:
     #: Reroute budget per job after shard deaths / shard saturation.
     max_retries: int = 2
     retry_backoff_s: float = 0.05
-    retry_backoff_cap_s: float = 1.0
-    retry_jitter: float = 0.1
     seed: int = 0
     heartbeat_timeout_s: float = 3.0
     monitor_interval_s: float = 0.25
     #: Times a dead shard slot is restarted before being evicted.
     max_shard_restarts: int = 1
-    ring_replicas: int = 64
-    #: A shard takes a key's overflow when the primary's assigned load
-    #: exceeds ``spill_factor``x the fleet average plus ``spill_slack``.
-    spill_factor: float = 1.25
-    spill_slack: int = 4
-    start_timeout_s: float = 60.0
 
 
 @dataclass
@@ -231,8 +234,8 @@ _SUMMABLE = (
     "ways_resized", "warm_attaches", "warm_waves", "locked_ways",
 )
 
-#: Float-valued elastic fields that also sum across shards.
-_SUMMABLE_F = ("resize_cost_s", "energy_j")
+#: Float-valued modeled figures that also sum across shards.
+_SUMMABLE_F = ("resize_cost_s", "energy_j", "device_s")
 
 
 def aggregate_stats(per_shard: Dict[int, Dict]) -> Dict:
@@ -289,7 +292,7 @@ class Gateway:
         self.config = config or GatewayConfig()
         if self.config.shards < 1:
             raise ServiceError("the gateway needs at least one shard")
-        self.ring = HashRing(replicas=self.config.ring_replicas)
+        self.ring = HashRing()
         self.handles: Dict[int, ShardHandle] = {}
         self.pending: Dict[int, GatewayJob] = {}
         self._next_id = 1
@@ -347,7 +350,7 @@ class Gateway:
         handle.reader.start()
 
     async def _await_ready(self, shard_ids: set) -> None:
-        deadline = time.monotonic() + self.config.start_timeout_s
+        deadline = time.monotonic() + START_TIMEOUT_S
         while True:
             missing = [
                 sid for sid in shard_ids if not self.handles[sid].ready
@@ -356,8 +359,7 @@ class Gateway:
                 return
             if time.monotonic() > deadline:
                 raise ServiceError(
-                    f"shards {missing} not ready within "
-                    f"{self.config.start_timeout_s}s"
+                    f"shards {missing} not ready within {START_TIMEOUT_S}s"
                 )
             await asyncio.sleep(0.02)
 
@@ -464,8 +466,7 @@ class Gateway:
         primary, spill = candidates[0], candidates[1]
         live = self._live_handles()
         average = sum(h.assigned for h in live) / max(1, len(live))
-        bound = (self.config.spill_factor * average
-                 + self.config.spill_slack)
+        bound = SPILL_FACTOR * average + SPILL_SLACK
         primary_handle = self.handles[primary]
         spill_handle = self.handles[spill]
         if (primary_handle.assigned > bound
@@ -583,12 +584,10 @@ class Gateway:
 
     def _backoff_delay(self, attempt: int) -> float:
         base = min(
-            self.config.retry_backoff_cap_s,
+            RETRY_BACKOFF_CAP_S,
             self.config.retry_backoff_s * (2 ** max(0, attempt - 1)),
         )
-        jitter = 1.0 + self.config.retry_jitter * (
-            2.0 * self._rng.random() - 1.0
-        )
+        jitter = 1.0 + RETRY_JITTER * (2.0 * self._rng.random() - 1.0)
         return max(0.0, base * jitter)
 
     def _schedule_reroute(self, job: GatewayJob, exclude: Optional[int],

@@ -66,10 +66,8 @@ class ShardConfig:
     cache_dir: Optional[str] = None
     max_queue_depth: Optional[int] = None
     batching: bool = True
-    max_retries: int = 2
     wave_latency_s: Optional[float] = None
     item_latency_s: Optional[float] = None
-    model_latency_scale: Optional[float] = None
     #: Elastic way partitioning (docs/elastic.md).  ``ElasticConfig``
     #: is a frozen dataclass, so the whole ShardConfig stays picklable
     #: across the spawn boundary.
@@ -110,10 +108,8 @@ class ShardRuntime:
             workers=config.workers,
             max_queue_depth=config.max_queue_depth,
             batching=config.batching,
-            max_retries=config.max_retries,
             wave_latency_s=config.wave_latency_s,
             item_latency_s=config.item_latency_s,
-            model_latency_scale=config.model_latency_scale,
             elastic=config.elastic,
             telemetry=self.telemetry,
             done_callback=self._job_done,

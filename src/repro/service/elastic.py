@@ -58,6 +58,8 @@ from .placement import Placement
 #: a shrink at most ``LOW_WATER``; a load in between holds the shape.
 HIGH_WATER = 1.0
 LOW_WATER = 0.5
+#: Queued jobs that justify one more way pair of compute.
+GROW_DEPTH_PER_STEP = 2
 #: Arrivals are converted to expected queue growth over this window.
 ARRIVAL_HORIZON_S = 0.05
 #: Jobs whose deadline slack falls below this boost the load.
@@ -83,8 +85,6 @@ class ElasticConfig:
 
     min_compute_ways: int = 2
     max_compute_ways: int = 16
-    #: Queued jobs that justify one more way pair of compute.
-    grow_depth_per_step: int = 2
     min_dwell_s: float = 0.02
     idle_release_s: float = 0.25
     #: Cap growth at the most items/s-per-watt-efficient shape.
@@ -327,9 +327,7 @@ class ElasticPartitioner:
             if now - t > ARRIVAL_HORIZON_S:
                 break
             expected += 1
-        load = (queue_depth + expected) / max(
-            1, self.config.grow_depth_per_step
-        )
+        load = (queue_depth + expected) / GROW_DEPTH_PER_STEP
         if deadline_slack_s is not None and deadline_slack_s < DEADLINE_SLACK_S:
             load += 1.0
         return load
@@ -440,6 +438,12 @@ class ElasticPartitioner:
                     # Hysteresis dwell: a shrink waits out the window
                     # so grow/shrink can't ping-pong wave to wave.
                     target_ways = current
+            # Never lease fewer compute ways than one tile needs (a way
+            # pair holds 4 MCCs), whatever the load says.
+            if schedule is not None:
+                fit = 2 * -(-schedule.resources.mccs // 4)
+                if fit <= self.max_ways:
+                    target_ways = max(target_ways, fit)
             target = SlicePartition(
                 compute_ways=target_ways,
                 scratchpad_ways=self.scratch_ways,

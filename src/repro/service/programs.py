@@ -20,8 +20,7 @@ the verdict.  On a warm hit the cache *verifies* the certificate (one
 hash, microseconds) instead of either re-running the ~40-rule lint
 pass or trusting stored reports blindly; a stale certificate (rule
 pack changed, artifact bytes differ) triggers a transparent re-lint
-and re-issue.  ``cert_hits`` / ``cert_misses`` count the outcomes and
-``bench_service`` measures the admission-latency delta.
+and re-issue.  ``cert_hits`` / ``cert_misses`` count the outcomes.
 """
 
 from __future__ import annotations

@@ -54,7 +54,13 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..circuits.library import build_pe
-from ..errors import CapacityError, ReproError, RequestError, ServiceError
+from ..errors import (
+    CapacityError,
+    ConfigurationError,
+    ReproError,
+    RequestError,
+    ServiceError,
+)
 from ..freac.compute_slice import SlicePartition
 from ..freac.device import FreacDevice
 from ..freac.runner import plan_layout
@@ -129,7 +135,6 @@ class AcceleratorService:
         max_queue_depth: Optional[int] = None,
         wave_latency_s: Optional[float] = None,
         item_latency_s: Optional[float] = None,
-        model_latency_scale: Optional[float] = None,
         elastic: Union[ElasticConfig, bool, None] = None,
         done_callback: Optional[Callable[[Job], None]] = None,
     ) -> None:
@@ -141,8 +146,6 @@ class AcceleratorService:
             raise ServiceError("wave latency must be non-negative")
         if item_latency_s is not None and item_latency_s < 0:
             raise ServiceError("item latency must be non-negative")
-        if model_latency_scale is not None and model_latency_scale < 0:
-            raise ServiceError("model latency scale must be non-negative")
         self.telemetry = resolve(telemetry)
         self.partition = partition or SlicePartition(
             compute_ways=4, scratchpad_ways=4
@@ -174,16 +177,11 @@ class AcceleratorService:
         #: concurrency the paper's independent slices actually buy.
         #: ``item_latency_s`` is the per-invocation variant: the busy
         #: interval grows with the wave's merged item count, so total
-        #: emulated device time is conserved under batch merging (the
-        #: sharded-gateway sweep relies on this — a deeper queue must
-        #: not make a shard look faster by merging its sleep away).
+        #: emulated device time is conserved under batch merging (a
+        #: deeper queue must not make a shard look faster by merging
+        #: its sleep away).
         self.wave_latency_s = wave_latency_s
         self.item_latency_s = item_latency_s
-        #: Scale factor turning the analytical timing model's seconds
-        #: (kernel + billed reconfiguration) into emulated device-busy
-        #: sleep, so partition *shape* shows up in wall-clock the way
-        #: it would on real hardware.  ``None``/0 disables it.
-        self.model_latency_scale = model_latency_scale
         #: Energy bookkeeping for items/s-per-watt stats.
         self.energy_model = EnergyModel()
         #: The way partitioner every wave leases its slices from
@@ -201,6 +199,12 @@ class AcceleratorService:
             energy=self.energy_model,
             clocking=self.devices[0].system.clocking,
         )
+        #: The widest tile any lease can hold; wider requests are refused
+        #: at submit instead of failing when their wave is programmed.
+        self.max_tile_mccs = SlicePartition(
+            self.elastic.max_ways, self.partition.scratchpad_ways,
+            self.partition.total_ways,
+        ).mccs()
         #: Invoked once per job right after it reaches a terminal state
         #: (the gateway shard runtime's completion hook).  Called
         #: outside the service lock; exceptions are logged, never
@@ -226,7 +230,8 @@ class AcceleratorService:
             "submitted": 0, "completed": 0, "rejected": 0, "failed": 0,
             "cancelled": 0, "timed_out": 0, "saturated": 0, "requeued": 0,
             "retries": 0, "batches": 0, "batched_jobs": 0,
-            "warm_waves": 0, "energy_j": 0.0, "energy_items": 0,
+            "warm_waves": 0, "device_s": 0.0, "energy_j": 0.0,
+            "energy_items": 0,
         }
         self._closed = False
         # Construct last: worker threads start claiming immediately and
@@ -293,6 +298,11 @@ class AcceleratorService:
 
         if opt_budget_s is not None and opt_budget_s <= 0:
             raise RequestError("the optimizer budget must be positive")
+        if not 1 <= mccs_per_tile <= self.max_tile_mccs:
+            raise RequestError(
+                f"a tile may use 1..{self.max_tile_mccs} MCCs, "
+                f"not {mccs_per_tile}"
+            )
 
         # Compile outside the service lock: the cache has its own, and
         # a cold compile is the slowest thing admission ever does.
@@ -311,7 +321,7 @@ class AcceleratorService:
                 benchmark, lut_inputs=lut_inputs,
                 mccs_per_tile=mccs_per_tile, optimizer=opt_config,
             )
-        except KeyError as exc:
+        except (KeyError, ConfigurationError) as exc:
             raise RequestError(str(exc)) from None
 
         request = JobRequest(
@@ -714,20 +724,9 @@ class AcceleratorService:
                     ),
                     clocking=session.device.system.clocking,
                 )
-                # Modeled overhead: this wave's config writes plus its
-                # lease's way transitions (flushes and way switches).
-                # Warm waves pay neither, which is the whole point of
-                # keeping ways locked between waves.
-                overhead_s = lease.cost_s + sum(
-                    r.config_time_s for r in session.program_reports
-                )
                 busy_s = (self.wave_latency_s or 0.0) + (
                     merged.items * (self.item_latency_s or 0.0)
                 )
-                if self.model_latency_scale:
-                    busy_s += self.model_latency_scale * (
-                        kernel.seconds + overhead_s
-                    )
                 if busy_s > 0:
                     time.sleep(busy_s)
         except _WaveDeadline:
@@ -754,9 +753,17 @@ class AcceleratorService:
             ),
         )
         wave_energy_j = breakdown.total_j + lease.energy_j
+        # Modeled device time: the kernel plus this wave's config
+        # writes and its lease's way transitions (flushes and way
+        # switches).  Warm waves pay neither, which is the whole point
+        # of keeping ways locked between waves.
+        device_s = kernel.seconds + lease.cost_s + sum(
+            r.config_time_s for r in session.program_reports
+        )
         with self._lock:
             self._counters["retries"] += retries
             self._counters["batches"] += 1
+            self._counters["device_s"] += device_s
             self._counters["energy_j"] += wave_energy_j
             self._counters["energy_items"] += merged.items
             if len(group) > 1:
@@ -966,6 +973,7 @@ class AcceleratorService:
                 warm_attaches=int(elastic["warm_attaches"]),
                 warm_waves=self._counters["warm_waves"],
                 locked_ways=locked_ways,
+                device_s=self._counters["device_s"],
                 energy_j=energy_j,
                 items_per_joule=(
                     energy_items / energy_j if energy_j > 0 else 0.0

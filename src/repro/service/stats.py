@@ -96,6 +96,7 @@ class ServiceStats:
     warm_attaches: int = 0         # waves that reused locked ways
     warm_waves: int = 0            # of which also reused the program
     locked_ways: int = 0           # gauge: ways held out of cache now
+    device_s: float = 0.0          # modeled kernel+transition+config time
     energy_j: float = 0.0          # modeled accelerator + transition energy
     items_per_joule: float = 0.0   # executed items per modeled joule
 
@@ -130,6 +131,7 @@ class ServiceStats:
             "warm_attaches": self.warm_attaches,
             "warm_waves": self.warm_waves,
             "locked_ways": self.locked_ways,
+            "device_s": self.device_s,
             "energy_j": self.energy_j,
             "items_per_joule": self.items_per_joule,
         }

@@ -9,7 +9,12 @@ import asyncio
 
 import pytest
 
-from repro.gateway import GatewayClient, GatewayConfig, ShardConfig
+from repro.gateway import (
+    GatewayClient,
+    GatewayConfig,
+    ShardConfig,
+    aggregate_stats,
+)
 from repro.gateway.frontend import burst_requests
 from repro.service import AcceleratorService
 from repro.service.jobs import JobState
@@ -184,6 +189,43 @@ class TestFleetAggregation:
             )
             fleet_count += series["count"]
         assert fleet_count == 48
+
+
+    def test_aggregate_stats_folds_shard_dicts(self):
+        """The fleet row from two hand-written shard snapshots."""
+        shards = {
+            0: {
+                "submitted": 3, "completed": 2, "failed": 1,
+                "ways_resized": 8, "energy_j": 2.0,
+                "resize_cost_s": 1e-7, "device_s": 3e-6,
+                "cache": {"hits": 3, "misses": 1, "hit_rate": 0.75},
+                "latency_p50_s": 0.01, "latency_p95_s": 0.05,
+                "latency_samples": 2, "items_per_joule": 10.0,
+            },
+            1: {   # no "failed" and no "ways_resized": both count 0
+                "submitted": 5, "completed": 5, "energy_j": 6.0,
+                "resize_cost_s": 2e-7, "device_s": 1e-6,
+                "cache": {"hits": 1, "misses": 7, "hit_rate": 0.125},
+                "latency_p50_s": 0.02, "latency_p95_s": 0.03,
+                "latency_samples": 5, "items_per_joule": 20.0,
+            },
+        }
+        fleet = aggregate_stats(shards)
+        assert fleet["submitted"] == 8
+        assert fleet["completed"] == 7
+        assert fleet["failed"] == 1
+        assert fleet["ways_resized"] == 8
+        assert fleet["energy_j"] == 8.0
+        assert fleet["resize_cost_s"] == pytest.approx(3e-7)
+        assert fleet["device_s"] == pytest.approx(4e-6)
+        # Weighted by lookups (4 of 12 hit), not the mean of the rates.
+        assert fleet["cache"]["hit_rate"] == pytest.approx(4 / 12)
+        # Weighted by energy: (10 * 2 + 20 * 6) / 8 items per joule.
+        assert fleet["items_per_joule"] == pytest.approx(17.5)
+        # Percentiles do not merge: the fleet keeps the worst shard's.
+        assert fleet["latency_p50_s"] == 0.02
+        assert fleet["latency_p95_s"] == 0.05
+        assert fleet["latency_samples"] == 7
 
 
 class TestGatewayCli:

@@ -16,6 +16,7 @@ from repro.freac.ccctrl import ControllerState
 from repro.freac.compute_slice import SlicePartition
 from repro.freac.device import FreacDevice
 from repro.params import scaled_system
+from repro.service import AcceleratorService, elastic
 from repro.service.elastic import (
     HIGH_WATER,
     LOW_WATER,
@@ -24,6 +25,7 @@ from repro.service.elastic import (
     energy_shape_hint,
     shape_choices,
 )
+from repro.service.jobs import JobState
 from repro.service.placement import Placement
 
 
@@ -250,8 +252,6 @@ class TestReclaimAndDrain:
 
 class TestServiceIntegration:
     def test_elastic_service_end_to_end(self):
-        from repro.service import AcceleratorService
-
         service = AcceleratorService(
             system=scaled_system(l3_slices=2), elastic=True
         )
@@ -272,8 +272,6 @@ class TestServiceIntegration:
         assert service.elastic.locked_ways() == 0
 
     def test_live_reprogram_bills_delta_without_moving_ways(self):
-        from repro.service import AcceleratorService
-
         # A fixed shape isolates the program swap: after the first
         # cold setup no way ever changes role again, so any later
         # resize_cost_s growth is purely the live-reprogram delta.
@@ -296,8 +294,6 @@ class TestServiceIntegration:
             service.shutdown()
 
     def test_repeat_program_runs_a_warm_wave(self):
-        from repro.service import AcceleratorService
-
         service = AcceleratorService(
             system=scaled_system(l3_slices=2),
             elastic=ElasticConfig(min_compute_ways=4,
@@ -319,8 +315,6 @@ class TestServiceIntegration:
     def test_static_service_never_warm_attaches(self, monkeypatch):
         """Without ``elastic`` every wave locks its ways and unlocks
         them at check-in, before its slice goes back to the pool."""
-        from repro.service import AcceleratorService
-
         service = AcceleratorService(
             system=scaled_system(l3_slices=2), workers=2, batching=False,
         )
@@ -359,13 +353,81 @@ class TestServiceIntegration:
         assert stats.locked_ways == 0
 
     def test_static_partition_needs_compute_ways(self):
-        from repro.service import AcceleratorService
-
         with pytest.raises(ServiceError):
             AcceleratorService(
                 system=scaled_system(l3_slices=2),
                 partition=SlicePartition(0, 4),
             )
+
+    @pytest.mark.parametrize("tile,jobs", [(16, 1), (32, 1), (32, 8)])
+    def test_lease_holds_the_programs_tile(self, tile, jobs):
+        """A lone job's load asks for 4 compute ways (8 MCCs) and a
+        burst of 8 for 10; the lease still grows to one tile's ways."""
+        service = AcceleratorService(
+            system=scaled_system(l3_slices=2), elastic=True
+        )
+        try:
+            handles = [
+                service.submit("VADD", 2, mccs_per_tile=tile, seed=i)
+                for i in range(jobs)
+            ]
+            service.drain()
+        finally:
+            service.shutdown()
+        for job in handles:
+            assert job.result.state is JobState.DONE, job.result.error
+            assert job.result.verified
+
+
+class TestModeledGate:
+    """Elastic against the always-locked partition on one phased
+    trace, compared in modeled device time and energy per item.
+
+    The service is synchronous and never sleeps, so both numbers are
+    exact: the same trace gives the same books on every host.
+    """
+
+    JOBS, ITEMS = 10, 256
+
+    def replay(self, partition, config):
+        service = AcceleratorService(
+            system=scaled_system(l3_slices=2), partition=partition,
+            elastic=config, batching=False,
+        )
+        # Phased: a run of bus-light VADD jobs, then compute-bound NW.
+        names = ["VADD"] * (self.JOBS // 2) + ["NW"] * (self.JOBS // 2)
+        try:
+            jobs = [service.submit(name, self.ITEMS, seed=i)
+                    for i, name in enumerate(names)]
+            service.drain()
+            stats = service.stats()
+        finally:
+            service.shutdown()
+        assert all(job.result.verified for job in jobs)
+        return stats
+
+    def test_elastic_beats_always_locked(self, monkeypatch):
+        # Recent arrivals add to the load only within a wall-clock
+        # horizon of each lease; at 0 the shapes depend only on the
+        # queue depth at claim, which a synchronous service fixes.
+        monkeypatch.setattr(elastic, "ARRIVAL_HORIZON_S", 0.0)
+        locked = self.replay(
+            SlicePartition(compute_ways=4, scratchpad_ways=4),
+            ElasticConfig(min_compute_ways=4, max_compute_ways=4,
+                          idle_release_s=3600.0),
+        )
+        # The dwell and idle window outlast the test, so no shrink or
+        # release fires on the clock.
+        grown = self.replay(
+            SlicePartition(compute_ways=16, scratchpad_ways=4),
+            ElasticConfig(min_compute_ways=4, min_dwell_s=3600.0,
+                          idle_release_s=3600.0),
+        )
+        items = self.JOBS * self.ITEMS
+        assert grown.device_s / items < locked.device_s / items
+        assert grown.energy_j / items < locked.energy_j / items
+        assert grown.ways_resized > 0
+        assert grown.resize_cost_s > 0
 
 
 #: Property-driver op codes: (action, argument).

@@ -93,6 +93,26 @@ class TestServeCommand:
         assert "refused" in captured.err
         assert "verified=yes" in captured.out   # good request still served
 
+    def test_serve_refuses_unbuildable_requests(self, tmp_path, capsys):
+        """A LUT width or tile size the device cannot build is refused
+        at submit; the rest of the stream is still served."""
+        requests = tmp_path / "requests.txt"
+        requests.write_text(
+            "VADD 4\n"
+            "DOT 4 lut=3\n"
+            "DOT 4 tile=0\n"
+            "NW 2 tile=2\n"
+            "DOT 4 tile=16\n"
+        )
+        stats_json = tmp_path / "stats.json"
+        code = main(["serve", "--requests", str(requests),
+                     "--stats-json", str(stats_json)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("refused") == 3
+        assert captured.out.count("verified=yes") == 2
+        assert json.loads(stats_json.read_text())["completed"] == 2
+
     def test_serve_rejects_the_removed_engine_key(self, tmp_path, capsys):
         """There is one execution engine, so ``engine=`` is no longer
         a request key: the line is refused, naming the known keys."""
