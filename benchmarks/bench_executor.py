@@ -29,8 +29,9 @@ import json
 import random
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.cache.subarray import Subarray
 from repro.circuits.library import build_pe, mapped_pe, pe_names
@@ -50,6 +51,11 @@ PATHS = ("reference", "specialized")
 # heuristic cycle grid against the optimized one on the plan.
 OPT_BENCHMARKS = ("VADD", "SRT")
 OPT_BATCHES = (16, 64)
+
+#: Each timed path runs until it has this much timed work (and at
+#: least ``reps`` runs): a batch-1 run lasts about 0.1 ms, too short
+#: for a best-of-2 to outlast a host hiccup.
+MIN_TIMED_S = 0.05
 
 
 def make_tile(mccs: int) -> List[MicroComputeCluster]:
@@ -71,19 +77,41 @@ def random_streams(name: str, batch: int,
     }
 
 
-def time_path(schedule, streams, batch: int, path: str,
-              reps: int) -> float:
-    """Best-of-``reps`` wall seconds for one batch on a fresh tile."""
+def batch_run(schedule, streams, batch: int,
+              path: str) -> Callable[[], object]:
+    """One batch through ``path`` on a fresh tile of its own."""
     executor = FoldedExecutor(schedule, make_tile(schedule.resources.mccs))
     executor.load_configuration()
     run = (executor.run_batch_reference if path == "reference"
            else executor.run_batch)
-    run(batch, streams=streams)  # warm-up
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        run(batch, streams=streams)
-        best = min(best, time.perf_counter() - start)
+    return partial(run, batch, streams=streams)
+
+
+def time_paths(runs: Dict[str, Callable[[], object]],
+               reps: int) -> Dict[str, float]:
+    """Best wall seconds of each run, the runs taken rep by rep in
+    alternation, so host drift hits them alike.
+
+    Each run is repeated until it has :data:`MIN_TIMED_S` of timed work
+    and at least ``reps`` repetitions; a run that has both drops out
+    while the others go on.
+    """
+    for run in runs.values():
+        run()  # warm-up
+    best = dict.fromkeys(runs, float("inf"))
+    timed = dict.fromkeys(runs, 0.0)
+    done = dict.fromkeys(runs, 0)
+    pending = list(runs)
+    while pending:
+        for label in pending:
+            start = time.perf_counter()
+            runs[label]()
+            elapsed = time.perf_counter() - start
+            best[label] = min(best[label], elapsed)
+            timed[label] += elapsed
+            done[label] += 1
+        pending = [label for label in pending
+                   if done[label] < reps or timed[label] < MIN_TIMED_S]
     return best
 
 
@@ -95,10 +123,10 @@ def sweep(benchmarks: Sequence[str], batches: Sequence[int],
         schedule = list_schedule(mapped_pe(name), TileResources(mccs=2))
         for batch in batches:
             streams = random_streams(name, batch, rng)
-            seconds = {
-                path: time_path(schedule, streams, batch, path, reps)
+            seconds = time_paths({
+                path: batch_run(schedule, streams, batch, path)
                 for path in PATHS
-            }
+            }, reps)
             speedup = seconds["reference"] / seconds["specialized"]
             rows.append({
                 "benchmark": name,
@@ -142,11 +170,10 @@ def sweep_optimized(benchmarks: Sequence[str], batches: Sequence[int],
         schedules = {"heuristic": heuristic, "optimized": outcome.schedule}
         for batch in batches:
             streams = random_streams(name, batch, rng)
-            seconds = {
-                label: time_path(schedule, streams, batch,
-                                 "specialized", reps)
+            seconds = time_paths({
+                label: batch_run(schedule, streams, batch, "specialized")
                 for label, schedule in schedules.items()
-            }
+            }, reps)
             gain = seconds["heuristic"] / seconds["optimized"]
             for label, schedule in schedules.items():
                 rows.append({

@@ -13,7 +13,6 @@ counted so the timing and power models can charge them).
 from .address import AddressCodec, DecodedAddress
 from .replacement import LruPolicy, PseudoLruPolicy, ReplacementPolicy
 from .subarray import Subarray
-from .dataarray import DataArray
 from .slice_ import CacheSlice, LineState
 from .cache import SetAssociativeCache
 from .hierarchy import AccessResult, CacheHierarchy, HierarchyStats
@@ -27,7 +26,6 @@ __all__ = [
     "LruPolicy",
     "PseudoLruPolicy",
     "Subarray",
-    "DataArray",
     "CacheSlice",
     "LineState",
     "SetAssociativeCache",

@@ -11,10 +11,15 @@ Way locking and flushing reuse mechanisms modern LLCs already have
 (paper Sec. III-C: sleep logic, fuse bits, way allocation), which is
 why the slice exposes them as first-class operations.
 
-Functionally the slice really stores bytes: a 64-byte line in way *w*
-of set *s* is striped across the way's eight sub-arrays (8 bytes, i.e.
-two 32-bit rows, per sub-array) — mirroring observation 2 of Sec. II
-that sub-arrays of a way operate in lock-step.
+Functionally the slice really stores bytes, and it alone knows where.
+One ``(sub-arrays, rows)`` buffer, :attr:`CacheSlice.sram`, holds every
+word: way *w* owns buffer rows ``w * subarrays_per_way`` onward,
+quadrant-major, and a 64-byte line of set *s* is striped across the
+way's eight sub-arrays (8 bytes, i.e. two 32-bit rows, per sub-array)
+— mirroring observation 2 of Sec. II that sub-arrays of a way operate
+in lock-step.  Line I/O, way-role clears and the scratchpad index that
+buffer directly; each :class:`Subarray` is a row view of it that keeps
+its own access counters.
 
 Line state and tag live in two ``(sets, ways)`` arrays, so locking or
 flushing a way is a column operation, not a walk over every set.
@@ -32,8 +37,8 @@ import numpy as np
 
 from ..errors import CacheError, LockedWayError
 from ..params import SliceParams
-from .dataarray import DataArray, build_way_data_arrays
 from .replacement import LruPolicy, ReplacementPolicy
+from .subarray import Subarray
 
 
 class WayMode(enum.Enum):
@@ -105,27 +110,21 @@ class CacheSlice:
             partial(policy_cls, self.ways)
         )
         self._way_modes: List[WayMode] = [WayMode.CACHE] * self.ways
-        # One zeroed buffer backs every sub-array of the slice, so rows
-        # nothing has written take no resident host memory.
+        # One zeroed buffer backs every sub-array of the slice; a page
+        # of it takes no resident host memory until something writes
+        # it (a role change's clear included).
         per_way = self.params.subarrays_per_way
-        sram = np.zeros((self.ways * per_way, self.params.subarray.rows),
-                        dtype=np.uint32)
-        self._data: List[List[DataArray]] = [
-            build_way_data_arrays(
-                self.params, sram[way * per_way:(way + 1) * per_way]
-            )
-            for way in range(self.ways)
-        ]
-
-        # Geometry of a line inside a way's sub-array row space.
-        subarrays = self.params.subarrays_per_way
-        word_bytes = self.params.subarray.port_bits // 8
-        self._bytes_per_subarray_per_line = self.line_bytes // subarrays
-        self._words_per_subarray_per_line = (
-            self._bytes_per_subarray_per_line // word_bytes
+        self.sram = np.zeros(
+            (self.ways * per_way, self.params.subarray.rows), dtype=np.uint32
         )
-        self._word_bytes = word_bytes
-        if self._bytes_per_subarray_per_line * subarrays != self.line_bytes:
+        self.subarrays: List[Subarray] = [
+            Subarray(self.params.subarray, row) for row in self.sram
+        ]
+        # Each of a way's sub-arrays holds this many words of a line.
+        self._line_words, rest = divmod(
+            self.line_bytes, per_way * self.sram.itemsize
+        )
+        if rest:
             raise CacheError("line size must stripe evenly across sub-arrays")
 
     # ------------------------------------------------------------------
@@ -280,16 +279,23 @@ class CacheSlice:
     # Raw way storage (compute / scratchpad roles)
     # ------------------------------------------------------------------
 
-    def way_arrays(self, way: int) -> List[DataArray]:
-        """Direct access to a locked way's data arrays.
+    def way_rows(self, way: int) -> range:
+        """The :attr:`sram` rows of a locked way's sub-arrays.
 
-        Only legal when the way is not in cache mode; the FReaC layers
-        build LUT stores and scratchpads on top of this.
+        Quadrant-major: a quadrant's sub-arrays are consecutive.  Only
+        legal when the way is not in cache mode; the FReaC layers build
+        LUT stores and scratchpads on top of this.
         """
         self._check_way(way)
         if self._way_modes[way] == WayMode.CACHE:
             raise LockedWayError(f"way {way} is in cache mode; lock it first")
-        return self._data[way]
+        span = self._way_span(way)
+        return range(span.start, span.stop)
+
+    def way_subarrays(self, way: int) -> List[Subarray]:
+        """A locked way's sub-arrays, in :meth:`way_rows` order."""
+        rows = self.way_rows(way)
+        return self.subarrays[rows.start:rows.stop]
 
     # ------------------------------------------------------------------
     # Energy accounting
@@ -297,21 +303,7 @@ class CacheSlice:
 
     @property
     def subarray_access_count(self) -> int:
-        return sum(
-            array.access_count for way in self._data for array in way
-        )
-
-    @property
-    def subarray_energy_j(self) -> float:
-        return sum(
-            array.access_energy_j for way in self._data for array in way
-        )
-
-    def reset_counters(self) -> None:
-        self.stats = SliceStats()
-        for way in self._data:
-            for array in way:
-                array.reset_counters()
+        return sum(sub.access_count for sub in self.subarrays)
 
     # ------------------------------------------------------------------
     # Internals
@@ -325,42 +317,33 @@ class CacheSlice:
             set_index, way, int(self._tag[set_index, way]), dirty, data
         )
 
+    def _way_span(self, way: int) -> slice:
+        """The way's sub-arrays as a slice of :attr:`sram` rows (and of
+        :attr:`subarrays`), quadrant-major."""
+        per_way = self.params.subarrays_per_way
+        return slice(way * per_way, (way + 1) * per_way)
+
+    def _line(self, set_index: int, way: int) -> np.ndarray:
+        """The line's words as a ``(sub-arrays per way, words each)``
+        view of :attr:`sram`: each of the way's sub-arrays holds ``n``
+        of them in consecutive rows from ``set_index * n``."""
+        start = set_index * self._line_words
+        return self.sram[self._way_span(way), start:start + self._line_words]
+
     def _read_line_data(self, set_index: int, way: int) -> bytes:
-        chunks: List[bytes] = []
-        for array_index, local_sub, row in self._line_rows(set_index):
-            word = self._data[way][array_index].read_row(
-                local_sub * self.params.subarray.rows + row
-            )
-            chunks.append(word.to_bytes(self._word_bytes, "little"))
-        return b"".join(chunks)
+        for sub in self.subarrays[self._way_span(way)]:
+            sub.charge_reads(self._line_words)
+        return self._line(set_index, way).astype("<u4").tobytes()
 
     def _write_line_data(self, set_index: int, way: int, data: bytes) -> None:
         if len(data) != self.line_bytes:
             raise CacheError(
                 f"line data must be exactly {self.line_bytes} bytes"
             )
-        offset = 0
-        for array_index, local_sub, row in self._line_rows(set_index):
-            word = int.from_bytes(
-                data[offset : offset + self._word_bytes], "little"
-            )
-            self._data[way][array_index].write_row(
-                local_sub * self.params.subarray.rows + row, word
-            )
-            offset += self._word_bytes
-
-    def _line_rows(self, set_index: int):
-        """Yield (data_array, sub-array-within-array, row) for a line.
-
-        The line is striped across all sub-arrays of the way so they
-        operate in lock-step, each contributing consecutive rows
-        starting at ``set_index * words_per_subarray_per_line``.
-        """
-        base_row = set_index * self._words_per_subarray_per_line
-        for array_index in range(self.params.quadrants):
-            for local_sub in range(self.params.subarrays_per_data_array):
-                for word in range(self._words_per_subarray_per_line):
-                    yield array_index, local_sub, base_row + word
+        for sub in self.subarrays[self._way_span(way)]:
+            sub.charge_writes(self._line_words)
+        line = self._line(set_index, way)
+        line[:] = np.frombuffer(data, dtype="<u4").reshape(line.shape)
 
     def _check_ways(self, ways: Sequence[int], *, locked: bool) -> None:
         """Validate every way's role before any way changes."""
@@ -375,8 +358,7 @@ class CacheSlice:
         # later fill that carries no data.
         for way in ways:
             self._way_modes[way] = mode
-            for array in self._data[way]:
-                array.clear()
+            self.sram[self._way_span(way)] = 0
 
     def _check_set(self, set_index: int) -> None:
         if not 0 <= set_index < self.sets:

@@ -26,9 +26,9 @@ class Subarray:
 
     def __init__(self, params: SubarrayParams | None = None,
                  storage: np.ndarray | None = None) -> None:
-        """``storage`` is the sub-array's row buffer when its slice
-        backs every sub-array with one array; a standalone sub-array
-        allocates its own."""
+        """``storage`` is the sub-array's row of its slice's buffer
+        (:attr:`CacheSlice.sram`); a standalone sub-array allocates its
+        own."""
         self.params = params or SubarrayParams()
         self.params.validate()
         self._rows = (
@@ -36,6 +36,9 @@ class Subarray:
             else np.zeros(self.params.rows, dtype=np.uint32)
         )
         self._mask = (1 << self.params.port_bits) - 1
+        # Plain ints, not slots of a slice-wide array: the reference
+        # loop charges one access per read_row, and an int attribute
+        # increments far cheaper than a numpy element.
         self.reads = 0
         self.writes = 0
 
@@ -90,30 +93,6 @@ class Subarray:
             raise CacheError("cannot charge a negative access count")
         self.writes += count
 
-    def gather_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized multi-row read; charges one access per row."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
-            raise CacheError("gather exceeds sub-array bounds")
-        self.reads += int(rows.size)
-        return self._rows[rows]
-
-    def scatter_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Vectorized multi-row write; charges one access per row.
-
-        Later duplicates win, matching a sequential write stream.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
-            raise CacheError("scatter exceeds sub-array bounds")
-        values = np.asarray(values, dtype=np.uint64)
-        if values.size and int(values.max()) > self._mask:
-            raise CacheError(
-                f"value does not fit a {self.params.port_bits}-bit row"
-            )
-        self.writes += int(rows.size)
-        self._rows[rows] = values.astype(np.uint32)
-
     def load_words(self, start_row: int, words: np.ndarray) -> None:
         """Bulk-load rows, charging one write per row."""
         end = start_row + len(words)
@@ -142,10 +121,6 @@ class Subarray:
     def reset_counters(self) -> None:
         self.reads = 0
         self.writes = 0
-
-    def clear(self) -> None:
-        """Zero the array contents (used when a way changes role)."""
-        self._rows[:] = 0
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.rows:

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 from ..cache.slice_ import CacheSlice, WayMode
 from ..errors import ConfigurationError, DeviceError
 from ..params import SliceParams
-from .compute_slice_types import WayHandle
 from .mcc import MicroComputeCluster
 from .scratchpad import Scratchpad
 
@@ -113,9 +112,7 @@ class ReconfigurableComputeSlice:
         self.flushed_dirty_lines = sum(1 for line in flushed if line.dirty)
 
         self.mccs = self._build_mccs(compute)
-        self.scratchpad = (
-            Scratchpad([self._way_handle(w) for w in scratch]) if scratch else None
-        )
+        self.scratchpad = Scratchpad(self.cache, scratch) if scratch else None
         self.partition = partition
 
     def _way_layout(
@@ -184,8 +181,7 @@ class ReconfigurableComputeSlice:
         self.flushed_dirty_lines = dirty
         self.mccs = self._build_mccs(new_compute)
         self.scratchpad = (
-            Scratchpad([self._way_handle(w) for w in new_scratch])
-            if new_scratch else None
+            Scratchpad(self.cache, new_scratch) if new_scratch else None
         )
         self.partition = partition
         return ResizeDelta(
@@ -231,34 +227,23 @@ class ReconfigurableComputeSlice:
         """Pair adjacent compute ways; one MCC per quadrant per pair."""
         mccs: List[MicroComputeCluster] = []
         ordered = sorted(compute_ways)
+        per_quadrant = self.params.subarrays_per_data_array
         for pair_start in range(0, len(ordered), 2):
-            way_a, way_b = ordered[pair_start], ordered[pair_start + 1]
-            arrays_a = self.cache.way_arrays(way_a)
-            arrays_b = self.cache.way_arrays(way_b)
+            pair = [self.cache.way_subarrays(way)
+                    for way in ordered[pair_start:pair_start + 2]]
             for quadrant in range(self.params.quadrants):
-                subarrays = (
-                    list(arrays_a[quadrant].subarrays)
-                    + list(arrays_b[quadrant].subarrays)
-                )
+                start = quadrant * per_quadrant
                 mccs.append(
                     MicroComputeCluster(
                         index=len(mccs),
-                        subarrays=subarrays,
+                        subarrays=[sub for way in pair
+                                   for sub in way[start:start + per_quadrant]],
                         lut_inputs=self.lut_inputs,
                     )
                 )
         return mccs
 
-    def _way_handle(self, way: int) -> WayHandle:
-        arrays = self.cache.way_arrays(way)
-        subarrays = [sub for array in arrays for sub in array.subarrays]
-        return WayHandle(way=way, subarrays=subarrays)
-
     # ------------------------------------------------------------------
-
-    @property
-    def subarray_energy_j(self) -> float:
-        return self.cache.subarray_energy_j
 
     @property
     def mac_operations(self) -> int:

@@ -185,7 +185,7 @@ class TestWayLocking:
         """A fill without data must not expose the scratchpad's bytes."""
         cache = small_slice()
         cache.lock_ways([0], WayMode.SCRATCHPAD)
-        cache.way_arrays(0)[0].write_row(0, 0xDEADBEEF)  # in set 0's line
+        cache.way_subarrays(0)[0].write_row(0, 0xDEADBEEF)  # in set 0's line
         cache.unlock_ways([0])
         cache.fill(0, tag=1, dirty=True)
         assert cache.flush_way(0)[0].data == bytes(64)
@@ -193,17 +193,17 @@ class TestWayLocking:
     def test_retarget_clears_the_way(self):
         cache = small_slice()
         cache.lock_ways([0], WayMode.SCRATCHPAD)
-        cache.way_arrays(0)[0].write_row(0, 0xDEADBEEF)
+        cache.way_subarrays(0)[0].write_row(0, 0xDEADBEEF)
         cache.retarget_ways([0], WayMode.COMPUTE)
-        assert cache.way_arrays(0)[0].read_row(0) == 0
+        assert cache.way_subarrays(0)[0].read_row(0) == 0
 
-    def test_way_arrays_only_when_locked(self):
+    def test_way_subarrays_only_when_locked(self):
         cache = small_slice()
         with pytest.raises(LockedWayError):
-            cache.way_arrays(0)
+            cache.way_subarrays(0)
         cache.lock_ways([0], WayMode.COMPUTE)
-        arrays = cache.way_arrays(0)
-        assert len(arrays) == cache.params.quadrants
+        subarrays = cache.way_subarrays(0)
+        assert len(subarrays) == cache.params.subarrays_per_way
 
     def test_lock_to_cache_mode_rejected(self):
         cache = small_slice()
@@ -229,12 +229,38 @@ class TestFlush:
 
 class TestEnergyAccounting:
     def test_line_io_charges_subarray_accesses(self):
+        """A 64-byte line is 16 x 32-bit words, two in each of its way's
+        eight sub-arrays, so every line transfer charges each of them 2:
+        fills and writes as writes, reads and dirty readbacks as reads."""
         cache = small_slice()
-        before = cache.subarray_access_count
+        per_way = cache.params.subarrays_per_way
+
+        def assert_charged(way, reads, writes):
+            assert [(sub.reads, sub.writes) for sub in cache.subarrays] == [
+                (reads, writes) if index // per_way == way else (0, 0)
+                for index in range(len(cache.subarrays))
+            ]
+
         cache.fill(0, tag=1, data=LINE)
-        after = cache.subarray_access_count
-        # 64-byte line striped as 16 x 32-bit words.
-        assert after - before == 16
+        assert cache.subarray_access_count == 16
+        way = cache.lookup(0, tag=1)
+        assert_charged(way, reads=0, writes=2)
+        assert cache.read_line(0, way) == LINE
+        assert_charged(way, reads=2, writes=2)
+        cache.write_line(0, way, LINE)
+        assert_charged(way, reads=2, writes=4)
+        assert cache.flush_way(way)[0].data == LINE
+        assert_charged(way, reads=4, writes=4)
+
+        # Evicting a dirty line reads it back; fills without data and
+        # clean victims charge nothing.
+        cache.fill(1, tag=1, data=LINE, dirty=True)
+        assert cache.lookup(1, tag=1, touch=False) == way
+        for tag in (2, 3, 4):
+            cache.fill(1, tag=tag)
+        victim = cache.fill(1, tag=5)
+        assert (victim.way, victim.dirty, victim.data) == (way, True, LINE)
+        assert_charged(way, reads=6, writes=6)
 
 
 def _line(seed: int) -> bytes:

@@ -67,11 +67,6 @@ class TestBulk:
         with pytest.raises(CacheError):
             subarray.dump_words(2040, 10)
 
-    def test_clear(self, subarray):
-        subarray.write_row(7, 99)
-        subarray.clear()
-        assert subarray.peek(7) == 0
-
 
 class TestAccounting:
     def test_counts_reads_and_writes(self, subarray):

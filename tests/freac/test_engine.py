@@ -252,8 +252,7 @@ def slice_state(controller):
     compute_slice = controller.slice
     cache = compute_slice.cache
     subarrays = [
-        sub for way in range(cache.ways)
-        for array in cache.way_arrays(way) for sub in array.subarrays
+        sub for way in range(cache.ways) for sub in cache.way_subarrays(way)
     ]
     return {
         "tile_stats": [e.stats.as_dict() for e in controller.executors],
