@@ -33,11 +33,10 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence
 
-from repro.cache.subarray import Subarray
 from repro.circuits.library import build_pe, mapped_pe, pe_names
 from repro.folding import TileResources, list_schedule
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_executor.json"
 
@@ -56,13 +55,6 @@ OPT_BATCHES = (16, 64)
 #: least ``reps`` runs): a batch-1 run lasts about 0.1 ms, too short
 #: for a best-of-2 to outlast a host hiccup.
 MIN_TIMED_S = 0.05
-
-
-def make_tile(mccs: int) -> List[MicroComputeCluster]:
-    return [
-        MicroComputeCluster(i, [Subarray() for _ in range(4)])
-        for i in range(mccs)
-    ]
 
 
 def random_streams(name: str, batch: int,

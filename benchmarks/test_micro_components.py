@@ -13,7 +13,7 @@ from repro.circuits import CircuitBuilder, technology_map
 from repro.circuits.library import build_pe, mapped_pe
 from repro.folding import TileResources, list_schedule
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 from repro.params import CacheLevelParams
 
 
@@ -33,7 +33,7 @@ def test_bench_list_schedule_nw(benchmark):
 def test_bench_folded_executor_vadd(benchmark):
     netlist = mapped_pe("VADD")
     schedule = list_schedule(netlist, TileResources())
-    tile = [MicroComputeCluster(0, [Subarray() for _ in range(4)])]
+    tile = make_tile(1)
     executor = FoldedExecutor(schedule, tile)
     executor.load_configuration()
 

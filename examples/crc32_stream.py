@@ -12,12 +12,11 @@ Run:  python examples/crc32_stream.py [TEXT]
 import binascii
 import sys
 
-from repro.cache.subarray import Subarray
 from repro.circuits import technology_map
 from repro.circuits.extras import build_crc32_pe
 from repro.folding import TileResources, list_schedule, validate_schedule
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 
 
 def main() -> None:
@@ -33,10 +32,7 @@ def main() -> None:
     validate_schedule(schedule, strict=True)
     print(f"   folded over {schedule.fold_cycles} cycles on a 4-MCC tile")
 
-    tile = [
-        MicroComputeCluster(i, [Subarray() for _ in range(4)])
-        for i in range(4)
-    ]
+    tile = make_tile(4)
     executor = FoldedExecutor(schedule, tile)
     executor.load_configuration()
 

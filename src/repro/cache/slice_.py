@@ -118,7 +118,8 @@ class CacheSlice:
             (self.ways * per_way, self.params.subarray.rows), dtype=np.uint32
         )
         self.subarrays: List[Subarray] = [
-            Subarray(self.params.subarray, row) for row in self.sram
+            Subarray(self.params.subarray, self.sram, index)
+            for index in range(len(self.sram))
         ]
         # Each of a way's sub-arrays holds this many words of a line.
         self._line_words, rest = divmod(

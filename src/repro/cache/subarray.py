@@ -25,16 +25,19 @@ class Subarray:
     """
 
     def __init__(self, params: SubarrayParams | None = None,
-                 storage: np.ndarray | None = None) -> None:
-        """``storage`` is the sub-array's row of its slice's buffer
-        (:attr:`CacheSlice.sram`); a standalone sub-array allocates its
-        own."""
+                 buffer: np.ndarray | None = None, index: int = 0) -> None:
+        """The sub-array is row ``index`` of ``buffer``, a ``(sub-arrays,
+        rows)`` array: its slice's :attr:`CacheSlice.sram`, or a
+        standalone tile's (:func:`repro.freac.mcc.make_tile`).  A lone
+        sub-array gets a one-row buffer of its own."""
         self.params = params or SubarrayParams()
         self.params.validate()
-        self._rows = (
-            storage if storage is not None
-            else np.zeros(self.params.rows, dtype=np.uint32)
+        self.buffer = (
+            buffer if buffer is not None
+            else np.zeros((1, self.params.rows), dtype=np.uint32)
         )
+        self.index = index
+        self._rows = self.buffer[index]
         self._mask = (1 << self.params.port_bits) - 1
         # Plain ints, not slots of a slice-wide array: the reference
         # loop charges one access per read_row, and an int attribute
@@ -67,21 +70,13 @@ class Subarray:
         self._check_row(row)
         return int(self._rows[row])
 
-    def peek_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Read in-range ``rows`` without charging an access.
-
-        The compiled plan reads each LUT's configuration row once per
-        run and bills the per-invocation reads in bulk
-        (:meth:`charge_reads`).
-        """
-        return self._rows[rows]
-
     def charge_reads(self, count: int) -> None:
         """Account ``count`` extra row reads without moving data.
 
-        The compiled plan performs one physical row access for a whole
-        batch but must charge the same traffic the hardware would see
-        (one access per invocation).
+        The compiled plan reads a row once for a whole batch, and a
+        configuration write or scrub moves a tile's rows as one block;
+        each charges the accesses the hardware makes (one per row, per
+        invocation).
         """
         if count < 0:
             raise CacheError("cannot charge a negative access count")
@@ -92,22 +87,6 @@ class Subarray:
         if count < 0:
             raise CacheError("cannot charge a negative access count")
         self.writes += count
-
-    def load_words(self, start_row: int, words: np.ndarray) -> None:
-        """Bulk-load rows, charging one write per row."""
-        end = start_row + len(words)
-        if start_row < 0 or end > self.rows:
-            raise CacheError("bulk load exceeds sub-array bounds")
-        self._rows[start_row:end] = words.astype(np.uint32)
-        self.writes += len(words)
-
-    def dump_words(self, start_row: int, count: int) -> np.ndarray:
-        """Bulk-read rows, charging one read per row."""
-        end = start_row + count
-        if start_row < 0 or end > self.rows:
-            raise CacheError("bulk dump exceeds sub-array bounds")
-        self.reads += count
-        return self._rows[start_row:end].copy()
 
     @property
     def access_count(self) -> int:

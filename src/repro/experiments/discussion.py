@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..freac.timing import config_time_s
 from ..params import SystemParams, default_system
 from ..power.area import slice_overhead
 from .common import config_for, format_table
@@ -85,8 +86,7 @@ def reconfiguration(benchmark: str = "NW", mccs: int = 4,
                     clock_hz: float = 4e9) -> ReconfigurationComparison:
     """Configuration-swap time: FReaC tile vs FPGA bitstream."""
     image = config_for(benchmark, mccs)
-    words_per_mcc = -(-image.total_words // mccs)
-    freac_time = words_per_mcc / clock_hz
+    freac_time = config_time_s(image, clock_hz)
     from ..baselines.fpga import ip_resources
 
     luts, _ = ip_resources(benchmark)

@@ -9,20 +9,23 @@ crossbar configuration in the way's otherwise-idle tag/state arrays.
 ``generate_config`` lays a :class:`FoldingSchedule` out exactly that
 way: for every folding cycle it produces
 
-* one 32-bit LUT configuration word per (MCC, LUT unit) — the LUT's
-  truth table, zero (a constant-0 LUT) for idle units, and
+* one 32-bit LUT configuration word per (MCC, configuration sub-array)
+  — the LUT's truth table (two 16-bit tables in 4-LUT mode), zero (a
+  constant-0 LUT) for idle units, and
 * a crossbar descriptor per MCC listing which latched values feed the
   LUT inputs and the MAC that cycle (packed into tag-array words for
   the size/energy accounting).
 
-The image knows whether it fits the sub-array row budget; when it does
-not, the executor/timing layers charge configuration reloads.
+The LUT words form one ``(MCCs, sub-arrays, cycles)`` block, so
+writing a tile's configuration is one block copy into its buffer
+rows.  The image knows whether it fits the sub-array row budget; when
+it does not, the executor/timing layers charge configuration reloads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -37,24 +40,36 @@ XBAR_SELECT_BITS = 10
 
 @dataclass
 class ConfigImage:
-    """The physical layout of one accelerator configuration."""
+    """The physical layout of one accelerator configuration.
 
-    schedule: FoldingSchedule
-    # lut_words[mcc][unit] -> np.ndarray of one 32-bit word per cycle.
-    lut_words: List[List[np.ndarray]]
-    # xbar_words[mcc] -> one packed descriptor word-count per cycle.
+    ``words[m, s, t]`` is row ``t`` of configuration sub-array ``s`` of
+    MCC ``m``: the truth table(s) that sub-array's LUT unit(s) latch at
+    folding step ``t + 1``.  The array is read-only, so every tile and
+    wave of a schedule can share one image (:func:`image_for`).
+    """
+
+    #: ``(MCCs, sub-arrays, cycles)`` uint32 LUT words.
+    words: np.ndarray
+    #: Packed crossbar descriptor words per MCC per cycle.
     xbar_words_per_cycle: int
-    cycles: int
     rows_per_subarray: int
+
+    @property
+    def mccs(self) -> int:
+        return self.words.shape[0]
+
+    @property
+    def cycles(self) -> int:
+        return self.words.shape[2]
 
     @property
     def lut_config_words(self) -> int:
         """Total LUT configuration words across the tile."""
-        return sum(len(words) for per_mcc in self.lut_words for words in per_mcc)
+        return self.words.size
 
     @property
     def xbar_config_words(self) -> int:
-        return self.cycles * self.xbar_words_per_cycle * len(self.lut_words)
+        return self.cycles * self.xbar_words_per_cycle * self.mccs
 
     @property
     def total_words(self) -> int:
@@ -69,51 +84,32 @@ class ConfigImage:
         """Do all folding steps fit the sub-array rows without reloads?"""
         return self.cycles <= self.rows_per_subarray
 
-    def checksum(self) -> int:
-        """A stable digest of the LUT bitstream.
+    def delta_words(self, other: Optional["ConfigImage"]) -> int:
+        """Config words that must be written to replace ``other``.
 
-        The CC Ctrl can verify a loaded configuration against this
-        (see FoldedExecutor.verify_configuration) to catch corrupted
-        or stale sub-array contents before a run.
+        With nothing resident (``other`` is None) that is the whole
+        image.  Otherwise the unit of reconfiguration is a sub-array
+        row: a folding cycle whose LUT words match the resident image
+        on every MCC keeps its row (and its crossbar descriptors) in
+        place, while a changed or new cycle rewrites its LUT words plus
+        that cycle's crossbar words on every MCC.  Structurally
+        different images (different MCC count, sub-array count, or row
+        budget) cannot share rows and pay the full rewrite.
         """
-        digest = 0xFFFFFFFF
-        for per_mcc in self.lut_words:
-            for column in per_mcc:
-                for word in column:
-                    digest ^= int(word)
-                    digest = ((digest << 5) | (digest >> 27)) & 0xFFFFFFFF
-        return digest
-
-    def delta_words(self, other: "ConfigImage") -> int:
-        """Config words that must be rewritten to replace ``other``.
-
-        The unit of reconfiguration is a sub-array row: a folding cycle
-        whose LUT words match the resident image on every MCC keeps its
-        row (and its crossbar descriptors) in place, while a changed or
-        new cycle rewrites its LUT words plus that cycle's crossbar
-        words on every MCC.  Structurally different images (different
-        MCC count, stored-unit count, or row budget) cannot share rows
-        and pay the full rewrite.
-        """
-        if (len(self.lut_words) != len(other.lut_words)
+        if (other is None
+                or self.words.shape[:2] != other.words.shape[:2]
                 or self.rows_per_subarray != other.rows_per_subarray
-                or self.xbar_words_per_cycle != other.xbar_words_per_cycle
-                or any(
-                    len(mine) != len(theirs)
-                    for mine, theirs in zip(self.lut_words, other.lut_words)
-                )):
+                or self.xbar_words_per_cycle != other.xbar_words_per_cycle):
             return self.total_words
         shared = min(self.cycles, other.cycles)
-        changed = [cycle >= shared for cycle in range(self.cycles)]
-        for per_mcc, other_mcc in zip(self.lut_words, other.lut_words):
-            for column, other_column in zip(per_mcc, other_mcc):
-                diff = np.nonzero(column[:shared] != other_column[:shared])[0]
-                for cycle in diff:
-                    changed[int(cycle)] = True
-        mccs = len(self.lut_words)
-        units = len(self.lut_words[0]) if self.lut_words else 0
-        words_per_cycle = mccs * (units + self.xbar_words_per_cycle)
-        return sum(changed) * words_per_cycle
+        kept = int(np.count_nonzero(
+            (self.words[:, :, :shared] == other.words[:, :, :shared])
+            .all(axis=(0, 1))
+        ))
+        words_per_cycle = self.mccs * (
+            self.words.shape[1] + self.xbar_words_per_cycle
+        )
+        return (self.cycles - kept) * words_per_cycle
 
     @property
     def reload_segments(self) -> int:
@@ -188,18 +184,16 @@ def _lut_table(schedule: FoldingSchedule, nid: int) -> int:
 def generate_config(
     schedule: FoldingSchedule, rows_per_subarray: int = 2048
 ) -> ConfigImage:
-    """Lay out LUT truth tables row-by-row per (MCC, unit)."""
+    """Lay out LUT truth tables row-by-row per (MCC, sub-array)."""
     resources = schedule.resources
-    cycles = schedule.compute_cycles
-    mccs = resources.mccs
     units = resources.luts_per_mcc
     if units > 4 and resources.lut_inputs == 5:
         raise CapacityError("a sub-array provides at most 4 x 5-LUT words")
 
-    lut_words: List[List[np.ndarray]] = [
-        [np.zeros(cycles, dtype=np.uint32) for _ in range(units)]
-        for _ in range(mccs)
-    ]
+    words = np.zeros(
+        (resources.mccs, resources.config_subarrays, schedule.compute_cycles),
+        dtype=np.uint32,
+    )
     for op in schedule.ops:
         if op.slot is not OpSlot.LUT:
             continue
@@ -207,29 +201,39 @@ def generate_config(
         # In 4-LUT mode two 16-bit tables share a 32-bit row; model the
         # packing by placing the table in the unit's half-word.
         if resources.lut_inputs == 4:
-            row = op.unit // 2
-            shift = 16 * (op.unit % 2)
-            lut_words[op.mcc][row][op.cycle - 1] |= np.uint32(
-                (table & 0xFFFF) << shift
+            words[op.mcc, op.unit // 2, op.cycle - 1] |= np.uint32(
+                (table & 0xFFFF) << 16 * (op.unit % 2)
             )
         else:
-            lut_words[op.mcc][op.unit][op.cycle - 1] = np.uint32(table)
+            words[op.mcc, op.unit, op.cycle - 1] = table
+    words.flags.writeable = False
 
     # Crossbar: each cycle each MCC routes up to (units * lut_inputs)
     # LUT operands + 3 MAC operands + 1 bus address source.
     selects = units * resources.lut_inputs + 3 + 1
     xbar_bits = selects * XBAR_SELECT_BITS
-    xbar_words = -(-xbar_bits // 32)
-
-    # In 4-LUT mode the packed rows halve.
-    stored_units = units if resources.lut_inputs == 5 else -(-units // 2)
-    packed = [
-        [lut_words[m][u] for u in range(stored_units)] for m in range(mccs)
-    ]
     return ConfigImage(
-        schedule=schedule,
-        lut_words=packed,
-        xbar_words_per_cycle=xbar_words,
-        cycles=cycles,
+        words=words,
+        xbar_words_per_cycle=-(-xbar_bits // 32),
         rows_per_subarray=rows_per_subarray,
     )
+
+
+def image_for(schedule: FoldingSchedule,
+              rows_per_subarray: int) -> ConfigImage:
+    """The schedule's image for ``rows_per_subarray``-row sub-arrays,
+    built once and cached on the schedule.
+
+    Compiled programs hold their schedule across waves, so every tile
+    and every program of a schedule shares one read-only image, as
+    they share its plan (:func:`repro.freac.specialize.plan_for`).
+    """
+    images = getattr(schedule, "_config_images", None)
+    if images is None:
+        images = {}
+        object.__setattr__(schedule, "_config_images", images)
+    image = images.get(rows_per_subarray)
+    if image is None:
+        image = generate_config(schedule, rows_per_subarray)
+        images[rows_per_subarray] = image
+    return image

@@ -75,6 +75,14 @@ class TileResources:
         return self.mcc.lut_slots(self.lut_inputs)
 
     @property
+    def config_subarrays(self) -> int:
+        """Sub-arrays per MCC that hold LUT configuration rows: one per
+        5-LUT, one per pair of 4-LUTs (two 16-bit tables share a 32-bit
+        row, paper Sec. III-A)."""
+        units = self.luts_per_mcc
+        return units if self.lut_inputs == 5 else -(-units // 2)
+
+    @property
     def macs_per_cycle(self) -> int:
         return self.mccs * self.mcc.macs_per_cycle
 

@@ -8,7 +8,7 @@ control box, and a load/store-only host interface.
 
 from .lut import FoldedLut
 from .scratchpad import Scratchpad
-from .mcc import MicroComputeCluster
+from .mcc import MicroComputeCluster, make_tile
 from .ccctrl import ComputeClusterController
 from .compute_slice import ReconfigurableComputeSlice, SlicePartition
 from .executor import BatchResult, ExecutionStats, FoldedExecutor, StreamBinding
@@ -43,6 +43,7 @@ __all__ = [
     "FoldedLut",
     "Scratchpad",
     "MicroComputeCluster",
+    "make_tile",
     "ComputeClusterController",
     "ReconfigurableComputeSlice",
     "SlicePartition",

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import DeviceError, ProtocolError
-from ..folding.config import ConfigImage, generate_config
+from ..folding.config import ConfigImage
 from ..folding.schedule import FoldingSchedule
 from ..memory.dram import DramModel
 from ..telemetry import Telemetry
@@ -54,18 +54,23 @@ class SetupReport:
 
 @dataclass
 class ProgramReport:
-    """Cost of writing the accelerator configuration (step 4)."""
+    """Cost of writing the accelerator configuration (step 4).
+
+    Every tile takes the same words, streamed in parallel across its
+    MCCs at one word per cycle per MCC: ``config_words_per_mcc`` is a
+    tile's words over its MCCs (rounded up), ``config_time_s`` that
+    many cache cycles, and ``config_words_total`` a tile's words times
+    the tiles.
+    """
 
     tiles: int
     config_words_per_mcc: int
     config_words_total: int
     config_time_s: float
     segments: int
-    #: True when this was a live reprogram billed as a delta against
-    #: the resident image instead of a full bitstream write.
+    #: True when an image was resident, so only the words that differ
+    #: from it were billed (a live reprogram of a warm slice).
     delta: bool = False
-    #: Config words the delta skipped relative to a full write.
-    words_saved: int = 0
 
 
 @dataclass
@@ -95,10 +100,18 @@ class ComputeClusterController:
         self.clock_hz = clock_hz
         self.state = ControllerState.IDLE
         self.executors: List[FoldedExecutor] = []
-        self.schedule: Optional[FoldingSchedule] = None
-        self.config_image: Optional[ConfigImage] = None
         self.telemetry = resolve(telemetry)
         self.slice_index = slice_index
+
+    @property
+    def schedule(self) -> Optional[FoldingSchedule]:
+        """The resident schedule, None when nothing is programmed."""
+        return self.executors[0].schedule if self.executors else None
+
+    @property
+    def config_image(self) -> Optional[ConfigImage]:
+        """The resident image, None when nothing is programmed."""
+        return self.executors[0].config if self.executors else None
 
     # ------------------------------------------------------------------
     # Steps 1-3: select, flush, lock
@@ -143,8 +156,6 @@ class ComputeClusterController:
                                  slice=self.slice_index):
             self.slice.release_partition()
             self.executors = []
-            self.schedule = None
-            self.config_image = None
             self.state = ControllerState.IDLE
 
     def resize(self, partition: SlicePartition) -> ResizeReport:
@@ -154,7 +165,7 @@ class ComputeClusterController:
         only the delta is flushed/unlocked (see
         :meth:`ReconfigurableComputeSlice.resize_partition`).  Any
         resident program is dropped — MCC membership changed — so the
-        controller returns to PARTITIONED and must be reprogrammed.
+        controller returns to PARTITIONED and must be programmed again.
         """
         if self.state is ControllerState.IDLE:
             raise ProtocolError("set up the slice before resizing")
@@ -162,8 +173,6 @@ class ComputeClusterController:
                                  slice=self.slice_index):
             delta = self.slice.resize_partition(partition)
             self.executors = []
-            self.schedule = None
-            self.config_image = None
             self.state = ControllerState.PARTITIONED
             report = ResizeReport(
                 delta=delta,
@@ -187,133 +196,60 @@ class ComputeClusterController:
 
     def program(self, schedule: FoldingSchedule, *,
                 preflight: bool = True) -> ProgramReport:
-        """Instantiate the accelerator on every tile the slice can hold.
+        """Configure every tile the slice can hold with ``schedule``.
 
         All tiles of a slice run the same schedule in lock-step
-        (Sec. III-D), so one programming call configures them all.
+        (Sec. III-D), so one call configures them all, each tile
+        taking one block write of the schedule's image.  A fresh slice
+        is a warm slice with nothing resident: the report bills the
+        words that must travel, the whole image or only its delta
+        against the resident one (the LUTstructions-style live
+        reprogram), as :func:`repro.freac.timing.reconfig_time_s`
+        does.  Programming the resident schedule again is free.
         ``preflight=False`` skips the per-executor schedule lint for
         callers that already vetted the schedule (e.g. the serving
         layer's admission control).
         """
         if self.state is ControllerState.IDLE:
             raise ProtocolError("set up the slice partition before programming")
+        resident = self.config_image
         with self.telemetry.span("device.program", "device",
                                  slice=self.slice_index):
-            tile_size = schedule.resources.mccs
-            tiles, image = self._instantiate(schedule, preflight=preflight)
-            words_total = 0
-            for executor in self.executors:
-                words_total += executor.load_configuration()
-            words_per_mcc = (
-                words_total // (len(tiles) * tile_size) if tiles else 0
-            )
-            # The config bus of each MCC pair loads in parallel; words for
-            # one MCC stream serially at one word per cache cycle.
-            config_time_s = words_per_mcc / self.clock_hz
-            self.schedule = schedule
-            self.config_image = image
-            self.state = ControllerState.CONFIGURED
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "freac.config_image_writes",
-                "accelerator programming operations (one per slice program)",
-            ).inc(slice=self.slice_index)
+            if schedule is not self.schedule:
+                tiles = self.slice.tiles(schedule.resources.mccs)
+                # A k=4 schedule addresses twice as many LUT units as
+                # a k=5 one, and a warm slice may switch k between
+                # programs.
+                for mcc in self.slice.mccs:
+                    mcc.set_lut_mode(schedule.resources.lut_inputs)
+                self.executors = [
+                    FoldedExecutor(
+                        schedule, tile, self.slice.scratchpad,
+                        preflight=preflight, telemetry=self.telemetry,
+                        trace_track=f"slice{self.slice_index}/tile{index}",
+                    )
+                    for index, tile in enumerate(tiles)
+                ]
+                for executor in self.executors:
+                    executor.load_configuration()
+                self.state = ControllerState.CONFIGURED
+                if self.telemetry.enabled:
+                    self.telemetry.counter(
+                        "freac.config_image_writes",
+                        "accelerator images written into a slice",
+                    ).inc(slice=self.slice_index,
+                          delta=str(resident is not None).lower())
+        image = self.executors[0].config
+        words = image.delta_words(resident)
+        words_per_mcc = -(-words // image.mccs)
         return ProgramReport(
-            tiles=len(tiles),
+            tiles=len(self.executors),
             config_words_per_mcc=words_per_mcc,
-            config_words_total=words_total,
-            config_time_s=config_time_s,
-            segments=self.executors[0].segments if self.executors else 0,
+            config_words_total=words * len(self.executors),
+            config_time_s=words_per_mcc / self.clock_hz,
+            segments=self.executors[0].segments,
+            delta=resident is not None,
         )
-
-    def reprogram(self, schedule: FoldingSchedule, *,
-                  preflight: bool = False) -> ProgramReport:
-        """Swap the resident program on a warm slice (live reprogram).
-
-        Keeps the locked ways and bills only the configuration words
-        that differ from the resident :class:`ConfigImage` — the
-        LUTstructions-style delta write — instead of the full
-        teardown→setup→program cycle.  Requires a CONFIGURED slice;
-        reprogramming the already-resident schedule is free.
-        """
-        if self.state is not ControllerState.CONFIGURED:
-            raise ProtocolError("nothing resident; use program() first")
-        if schedule is self.schedule:
-            return ProgramReport(
-                tiles=len(self.executors),
-                config_words_per_mcc=0,
-                config_words_total=0,
-                config_time_s=0.0,
-                segments=self.executors[0].segments if self.executors else 0,
-                delta=True,
-                words_saved=(
-                    self.config_image.total_words if self.config_image else 0
-                ),
-            )
-        previous = self.config_image
-        with self.telemetry.span("device.reprogram", "device",
-                                 slice=self.slice_index):
-            tile_size = schedule.resources.mccs
-            tiles, image = self._instantiate(schedule, preflight=preflight)
-            for executor in self.executors:
-                executor.load_configuration()
-            full_words = image.total_words if image else 0
-            billed_words = (
-                image.delta_words(previous)
-                if image is not None and previous is not None
-                else full_words
-            )
-            words_per_mcc = (
-                -(-billed_words // (len(tiles) * tile_size)) if tiles else 0
-            )
-            config_time_s = words_per_mcc / self.clock_hz
-            self.schedule = schedule
-            self.config_image = image
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "freac.config_image_rewrites",
-                "live reprograms (delta config writes on a warm slice)",
-            ).inc(slice=self.slice_index)
-        return ProgramReport(
-            tiles=len(tiles),
-            config_words_per_mcc=words_per_mcc,
-            config_words_total=billed_words,
-            config_time_s=config_time_s,
-            segments=self.executors[0].segments if self.executors else 0,
-            delta=True,
-            words_saved=max(0, full_words - billed_words),
-        )
-
-    def _instantiate(
-        self, schedule: FoldingSchedule, *, preflight: bool
-    ) -> Tuple[List[list], Optional[ConfigImage]]:
-        """Install one executor per tile for ``schedule`` (unloaded).
-
-        Every tile has the same sub-array geometry and runs the same
-        schedule, so the configuration image is generated once and
-        shared read-only.  Every MCC is then switched to the schedule's
-        LUT mode: a k=4 schedule addresses twice as many LUT units as a
-        k=5 one, and a warm slice may switch k between programs.
-        """
-        tiles = self.slice.tiles(schedule.resources.mccs)
-        image = (
-            generate_config(
-                schedule, rows_per_subarray=tiles[0][0].config_rows
-            )
-            if tiles else None
-        )
-        for mcc in self.slice.mccs:
-            mcc.set_lut_mode(schedule.resources.lut_inputs)
-        self.executors = [
-            FoldedExecutor(
-                schedule, tile, self.slice.scratchpad,
-                preflight=preflight, config=image,
-                telemetry=self.telemetry,
-                trace_track=f"slice{self.slice_index}/tile{index}",
-            )
-            for index, tile in enumerate(tiles)
-        ]
-        return tiles, image
 
     def verify_configuration(self) -> bool:
         """Scrub every tile's loaded bitstream against the image.

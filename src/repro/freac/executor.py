@@ -27,7 +27,7 @@ import numpy as np
 from ..analysis import preflight_schedule
 from ..circuits.netlist import NodeKind, WORD_MASK
 from ..errors import CircuitError, DeviceError
-from ..folding.config import ConfigImage, generate_config
+from ..folding.config import ConfigImage, image_for
 from ..folding.schedule import FoldingSchedule, OpSlot
 from ..telemetry import Telemetry
 from ..telemetry.core import resolve
@@ -140,7 +140,6 @@ class FoldedExecutor:
         scratchpad: Optional[Scratchpad] = None,
         *,
         preflight: bool = True,
-        config: Optional[ConfigImage] = None,
         telemetry: Optional[Telemetry] = None,
         trace_track: str = "tile0",
     ) -> None:
@@ -150,11 +149,18 @@ class FoldedExecutor:
                 f"{len(tile)}"
             )
         lut_inputs = schedule.resources.lut_inputs
+        buffer = tile[0].subarrays[0].buffer
         for mcc in tile:
             if mcc.lut_inputs != lut_inputs:
                 raise DeviceError(
                     f"MCC {mcc.index} is in {mcc.lut_inputs}-LUT mode but "
                     f"the schedule folds {lut_inputs}-input LUTs"
+                )
+            if any(sub.buffer is not buffer for sub in mcc.subarrays):
+                raise DeviceError(
+                    f"MCC {mcc.index}'s sub-arrays are not rows of the "
+                    "tile's one buffer; build standalone tiles with "
+                    "make_tile"
                 )
         if preflight:
             # Pre-flight lint (docs/analysis.md): refuse to generate
@@ -168,14 +174,20 @@ class FoldedExecutor:
         self.telemetry = resolve(telemetry)
         self.trace_track = trace_track
         rows = self.tile[0].config_rows
-        # The image is read-only after generation, so lock-step tiles
-        # running one schedule may share a caller-supplied instance.
-        self.config: ConfigImage = (
-            config if config is not None
-            else generate_config(schedule, rows_per_subarray=rows)
-        )
+        # Lock-step tiles running one schedule share its read-only image.
+        self.config: ConfigImage = image_for(schedule, rows)
         self._rows = rows
         self._loaded_segment = -1
+        # The configuration sub-arrays, MCC-major, and their rows of
+        # the tile's buffer in the image's (MCCs, sub-arrays) shape.
+        stored = self.config.words.shape[1]
+        self._config_subarrays = [
+            sub for mcc in self.tile for sub in mcc.subarrays[:stored]
+        ]
+        self._sram = buffer
+        self._sram_rows = np.array(
+            [sub.index for sub in self._config_subarrays], dtype=np.intp
+        ).reshape(len(self.tile), stored)
         # Sequential state: flip-flop values persist across invocations
         # in the cluster FF banks.
         self._ff_state: Dict[int, int] = dict(schedule.initial_ff_state)
@@ -197,18 +209,17 @@ class FoldedExecutor:
         return self.config.reload_segments
 
     def load_segment(self, segment: int) -> int:
-        """Write one window of folding steps into the sub-arrays."""
+        """Write one window of folding steps into the sub-arrays: one
+        block copy of the image into the tile's buffer rows."""
         if not 0 <= segment < self.segments:
             raise DeviceError(f"segment {segment} out of range")
         start = segment * self._rows
         end = min(start + self._rows, self.config.cycles)
-        words_written = 0
-        for mcc_index, mcc in enumerate(self.tile):
-            columns = [
-                np.asarray(column[start:end], dtype=np.uint32)
-                for column in self.config.lut_words[mcc_index]
-            ]
-            words_written += mcc.load_configuration(columns)
+        rows = end - start
+        self._sram[self._sram_rows, :rows] = self.config.words[:, :, start:end]
+        for sub in self._config_subarrays:
+            sub.charge_writes(rows)
+        words_written = rows * len(self._config_subarrays)
         self._loaded_segment = segment
         self.stats.config_words_loaded += words_written
         if segment > 0:
@@ -240,21 +251,25 @@ class FoldedExecutor:
     def verify_configuration(self) -> bool:
         """Check the loaded segment against the bitstream image.
 
-        Reads every configuration row back (charging real accesses,
-        as a hardware scrub would) and compares with the expected
-        words.  Returns False if any row was corrupted or overwritten.
+        Reads the configuration rows back (charging real accesses, as
+        a hardware scrub would) and compares with the expected words.
+        The scrub goes sub-array by sub-array, MCC-major, and stops at
+        the first one whose rows were corrupted or overwritten; it
+        then returns False.
         """
         if self._loaded_segment < 0:
             raise DeviceError("no configuration segment is loaded")
         start = self._loaded_segment * self._rows
         end = min(start + self._rows, self.config.cycles)
-        for mcc_index, mcc in enumerate(self.tile):
-            for unit, column in enumerate(self.config.lut_words[mcc_index]):
-                expected = column[start:end]
-                got = mcc.subarrays[unit].dump_words(0, len(expected))
-                if list(got) != [int(w) for w in expected]:
-                    return False
-        return True
+        rows = end - start
+        held = self._sram[self._sram_rows, :rows]
+        bad = np.flatnonzero(
+            (held != self.config.words[:, :, start:end]).any(axis=2)
+        )
+        scrubbed = self._config_subarrays[:bad[0] + 1 if bad.size else None]
+        for sub in scrubbed:
+            sub.charge_reads(rows)
+        return not bad.size
 
     # ------------------------------------------------------------------
     # Execution

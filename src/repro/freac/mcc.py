@@ -9,6 +9,10 @@ sub-arrays, which stay untouched.
 Configuration storage: the LUT truth table for folding step *t* of
 LUT unit *u* sits in row *t* of the unit's sub-array; the executor
 reads it through the sub-array (charging a real access) each cycle.
+A tile's sub-arrays are rows of one buffer — its slice's
+:attr:`~repro.cache.slice_.CacheSlice.sram`, or one from
+:func:`make_tile` for a standalone tile — so the executor writes and
+scrubs a tile's configuration as one block.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import CapacityError, DeviceError
-from ..params import MccParams
+from ..errors import DeviceError
+from ..params import MccParams, SubarrayParams
 from ..cache.subarray import Subarray
 from .lut import FoldedLut
 
@@ -93,7 +97,6 @@ class MicroComputeCluster:
         self.set_lut_mode(lut_inputs)
         self.mac = MacUnit()
         self.registers = RegisterBank(self.params.register_file_bits)
-        self._config_cycles = 0
 
     def set_lut_mode(self, lut_inputs: int) -> None:
         """Switch between 5-LUT mode (one table per 32-bit row) and
@@ -113,29 +116,6 @@ class MicroComputeCluster:
     @property
     def config_rows(self) -> int:
         return self.subarrays[0].rows
-
-    def load_configuration(self, lut_words: Sequence[np.ndarray]) -> int:
-        """Write per-cycle LUT config words into the sub-arrays.
-
-        ``lut_words[u][t]`` is the word for LUT unit ``u`` at folding
-        step ``t``.  Returns the number of words written (the config
-        write traffic the CC Ctrl forwards over the data bus).
-        """
-        if len(lut_words) > len(self.subarrays):
-            raise CapacityError("more LUT columns than sub-arrays")
-        written = 0
-        for unit, words in enumerate(lut_words):
-            if len(words) > self.config_rows:
-                raise CapacityError(
-                    f"{len(words)} folding steps exceed the sub-array's "
-                    f"{self.config_rows} rows; segment the configuration"
-                )
-            self.subarrays[unit].load_words(0, np.asarray(words, dtype=np.uint32))
-            written += len(words)
-        self._config_cycles = max(
-            (len(words) for words in lut_words), default=0
-        )
-        return written
 
     def fetch_lut_config(self, unit: int, cycle: int) -> int:
         """Read the config row for (unit, folding step) — one access."""
@@ -162,3 +142,27 @@ class MicroComputeCluster:
     @property
     def subarray_reads(self) -> int:
         return sum(sub.reads for sub in self.subarrays)
+
+
+def make_tile(
+    mccs: int,
+    params: Optional[SubarrayParams] = None,
+    lut_inputs: int = 5,
+) -> List[MicroComputeCluster]:
+    """A standalone tile of ``mccs`` MCCs over one zeroed buffer.
+
+    Its sub-arrays are the rows of one ``(mccs * 4, rows)`` array, MCC
+    by MCC, as a slice's tiles are rows of its ``sram``.
+    """
+    params = params or SubarrayParams()
+    per_mcc = MccParams().subarrays
+    buffer = np.zeros((mccs * per_mcc, params.rows), dtype=np.uint32)
+    subarrays = [Subarray(params, buffer, index)
+                 for index in range(len(buffer))]
+    return [
+        MicroComputeCluster(
+            index, subarrays[index * per_mcc:(index + 1) * per_mcc],
+            lut_inputs=lut_inputs,
+        )
+        for index in range(mccs)
+    ]

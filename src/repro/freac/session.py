@@ -184,17 +184,15 @@ class ExecutionSession:
     ) -> List[ProgramReport]:
         """Write the accelerator bitstream into every session slice.
 
-        A merely partitioned slice takes the full config write; one
+        A merely partitioned slice is billed the full config write; one
         that already holds a program (a warm slice a partitioner kept
-        locked) is delta-reprogrammed in place
-        (``ComputeClusterController.reprogram``).
+        locked) only the delta against it
+        (:meth:`ComputeClusterController.program`).
         """
         self._require_active()
         schedule = program.schedule_for(mccs_per_tile)
         self.program_reports = [
-            controller.reprogram(schedule, preflight=preflight)
-            if controller.state is ControllerState.CONFIGURED
-            else controller.program(schedule, preflight=preflight)
+            controller.program(schedule, preflight=preflight)
             for controller in self.controllers
         ]
         return self.program_reports

@@ -211,9 +211,9 @@ class SpecializedPlan:
     lut_rows: np.ndarray      # (N,) int64 — row: folding cycle - 1
     lut_shift: np.ndarray     # (N,) uint32 — a 4-LUT's half of its row
     lut_mask: np.uint32       # the truth-table width
-    #: (mcc, sub-array, rows) gathered per tile, in ``lut_order``
-    lut_sources: List[Tuple[int, int, np.ndarray]]
-    lut_order: np.ndarray     # (N,) int64 — column -> gathered position
+    #: (N,) int64 — the column's configuration sub-array, MCC-major
+    #: (``mcc * config_subarrays + sub-array``)
+    lut_subarray: np.ndarray
     # --- bulk accounting, per batch item ---
     subarray_reads: List[Tuple[int, int, int]]      # (mcc, subarray, count)
     #: (mcc, unit, count, final table, final table's LUT column)
@@ -253,11 +253,8 @@ class SpecializedPlan:
                 h.update(f"s:{stream}:{indices}".encode())
                 h.update(slots.tobytes())
             for array in (self.lut_tables, self.lut_rows, self.lut_shift,
-                          self.lut_order):
+                          self.lut_subarray):
                 h.update(array.tobytes())
-            for mcc, subarray, rows in self.lut_sources:
-                h.update(f"c:{mcc}:{subarray}".encode())
-                h.update(rows.tobytes())
             h.update(repr((self.subarray_reads, self.lut_charges,
                            self.mac_charges, self.register_bits)).encode())
             object.__setattr__(self, "_digest", h.hexdigest())
@@ -477,19 +474,16 @@ class _PlanBuilder:
 
         # --- where each LUT column's table lives ---------------------
         # A 4-LUT row packs two 16-bit tables (paper Sec. III-A).
+        resources = self.schedule.resources
         halves = self.lut_inputs == 4
-        sources: Dict[Tuple[int, int], List[int]] = {}
-        for column, instr in enumerate(columns):
-            subarray = instr.unit // 2 if halves else instr.unit
-            sources.setdefault((instr.mcc, subarray), []).append(column)
-        gathered = [column for key in sorted(sources)
-                    for column in sources[key]]
-        lut_order = np.empty(len(columns), dtype=np.int64)
-        lut_order[gathered] = np.arange(len(columns))
-        lut_rows = np.array([i.cycle - 1 for i in columns], dtype=np.int64)
+        stored = resources.config_subarrays
+        lut_subarray = np.array(
+            [i.mcc * stored + (i.unit // 2 if halves else i.unit)
+             for i in columns],
+            dtype=np.int64,
+        )
 
         # --- bulk accounting -----------------------------------------
-        resources = self.schedule.resources
         sa_reads: Dict[Tuple[int, int], int] = {}
         lut_units: Dict[Tuple[int, int], List[int]] = {}
         mac_ops: Dict[int, int] = {}
@@ -538,17 +532,14 @@ class _PlanBuilder:
             outputs=outputs,
             result_stores=result_stores,
             lut_tables=np.array([i.table for i in columns], dtype=np.uint32),
-            lut_rows=lut_rows,
+            lut_rows=np.array([i.cycle - 1 for i in columns],
+                              dtype=np.int64),
             lut_shift=np.array(
                 [16 * (i.unit % 2) if halves else 0 for i in columns],
                 dtype=np.uint32,
             ),
             lut_mask=np.uint32(self.table_mask),
-            lut_sources=[
-                (mcc, subarray, lut_rows[sources[(mcc, subarray)]])
-                for mcc, subarray in sorted(sources)
-            ],
-            lut_order=lut_order,
+            lut_subarray=lut_subarray,
             subarray_reads=[(m, s, c) for (m, s), c in sorted(sa_reads.items())],
             lut_charges=[(m, u, c, t, col) for (m, u), (c, t, col)
                          in sorted(lut_units.items())],
@@ -679,15 +670,9 @@ def plan_for(schedule: FoldingSchedule) -> SpecializedPlan:
     try:
         plan = build_plan(schedule)
     except SpecializationUnsupported as exc:
-        try:
-            object.__setattr__(schedule, "_specialized_plan", str(exc))
-        except (AttributeError, TypeError):  # pragma: no cover - slots
-            pass
+        object.__setattr__(schedule, "_specialized_plan", str(exc))
         raise
-    try:
-        object.__setattr__(schedule, "_specialized_plan", plan)
-    except (AttributeError, TypeError):  # pragma: no cover - slots
-        pass
+    object.__setattr__(schedule, "_specialized_plan", plan)
     return plan
 
 
@@ -753,11 +738,9 @@ def _charge_segment(executor: FoldedExecutor, segment: int,
         return
     start = segment * executor._rows
     rows = min(start + executor._rows, executor.config.cycles) - start
-    words = 0
-    for mcc_index, mcc in enumerate(executor.tile):
-        for unit, _column in enumerate(executor.config.lut_words[mcc_index]):
-            mcc.subarrays[unit].charge_writes(rows * times)
-            words += rows
+    for sub in executor._config_subarrays:
+        sub.charge_writes(rows * times)
+    words = rows * len(executor._config_subarrays)
     total = words * times
     executor.stats.config_words_loaded += total
     if segment > 0:
@@ -824,18 +807,15 @@ def _config_tables(plan: SpecializedPlan, busy: Sequence[FoldedExecutor],
     later window in from the image, and reloads segment 0 from the
     image before each later item.
     """
-    if not plan.lut_sources:
+    if not plan.lut_tables.size:
         return None
     rows = busy[0]._rows
     segmented = busy[0].segments > 1
-    sources = plan.lut_sources
-    if segmented:
-        sources = [(mcc, subarray, np.minimum(read, rows - 1))
-                   for mcc, subarray, read in sources]
-    words = np.concatenate([
-        executor.tile[mcc].subarrays[subarray].peek_rows(read)
-        for executor in busy for mcc, subarray, read in sources
-    ]).reshape(len(busy), -1)[:, plan.lut_order]
+    read = np.minimum(plan.lut_rows, rows - 1) if segmented else plan.lut_rows
+    words = np.stack([
+        executor._sram[executor._sram_rows.ravel()[plan.lut_subarray], read]
+        for executor in busy
+    ])
     words = (words >> plan.lut_shift) & plan.lut_mask
     if segmented:
         later = plan.lut_rows >= rows

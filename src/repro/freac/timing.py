@@ -88,14 +88,7 @@ def reload_cycles_per_item(
     second data bus for configuration movement).
     """
     excess_steps = max(0, schedule.compute_cycles - rows_per_subarray)
-    if excess_steps == 0:
-        return 0
-    stored_units = (
-        schedule.resources.luts_per_mcc
-        if schedule.resources.lut_inputs == 5
-        else -(-schedule.resources.luts_per_mcc // 2)
-    )
-    return excess_steps * stored_units
+    return excess_steps * schedule.resources.config_subarrays
 
 
 def kernel_timing(
@@ -156,9 +149,7 @@ def config_time_s(
     clock_hz: float,
 ) -> float:
     """Time to write one tile's bitstream (parallel across MCCs)."""
-    mccs = max(len(image.lut_words), 1)
-    words_per_mcc = -(-image.total_words // mccs)
-    return words_per_mcc / clock_hz
+    return reconfig_time_s(image, None, clock_hz)
 
 
 def reconfig_time_s(
@@ -172,12 +163,10 @@ def reconfig_time_s(
     travel over the per-MCC config bus — the LUTstructions insight
     that configuration movement need not repeat unchanged rows.  With
     no resident image this degrades to a full :func:`config_time_s`.
+    A slice's controller bills its programs by the same rule
+    (:meth:`~repro.freac.ccctrl.ComputeClusterController.program`).
     """
-    if previous is None:
-        return config_time_s(image, clock_hz)
-    delta = image.delta_words(previous)
-    mccs = max(len(image.lut_words), 1)
-    words_per_mcc = -(-delta // mccs)
+    words_per_mcc = -(-image.delta_words(previous) // image.mccs)
     return words_per_mcc / clock_hz
 
 

@@ -12,8 +12,8 @@ sits between the service's wave dispatch and the per-slice CC Ctrls:
 * a wave *leases* its slices warm: the locked ways and the resident
   program survive from wave to wave, so a repeat program costs
   nothing and a different program is swapped by a **live reprogram**
-  (``ComputeClusterController.reprogram``) that rewrites only the
-  ConfigImage delta instead of a full teardown→setup→program cycle;
+  (``ComputeClusterController.program`` on the warm slice) billed only
+  the ConfigImage delta instead of a full teardown→setup→program cycle;
 * every transition is billed the paper's costs — DRAM flush time for
   dirty lines entering a locked way, ``config_time_s`` for the delta
   bitstream, and flush/eviction energy from :mod:`repro.power` — and a
@@ -497,10 +497,10 @@ class ElasticPartitioner:
         self._counters["resize_energy_j"] += energy_j
 
     def bill_program(self, cost_s: float, energy_j: float) -> None:
-        """Charge a live-reprogram delta to the elastic cost books.
+        """Charge a wave's configuration writes to the elastic cost books.
 
         Way counts and resize counters are untouched — only the time
-        and energy of streaming the delta bitstream accrue, so the
+        and energy of streaming the bitstream (or its delta) accrue, so the
         resize stats stay a pure measure of way transitions.
         """
         with self._lock:

@@ -59,13 +59,15 @@ from ..telemetry.core import resolve
 
 logger = logging.getLogger("repro.service")
 
+# v6: the compiled plan addresses each LUT column's configuration
+# sub-array by one index (``lut_subarray``), so plan digests changed.
 # v5: optimizer tokens no longer hash a solver-backend knob, so v4
 # optimized entries sit under stale keys.  v4 added the compiled-plan
 # artifact (content-addressed by its digest and verified against the
 # schedule at load), v3 the optimizer token + audit stats, v2 the
 # dataflow report + analysis certificate.  Old entries fail from_dict,
 # get quarantined, and recompile once — acceptable for a cache.
-DISK_FORMAT_VERSION = 5
+DISK_FORMAT_VERSION = 6
 
 
 class ProgramKey(NamedTuple):

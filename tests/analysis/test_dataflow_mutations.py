@@ -28,8 +28,7 @@ from repro.circuits import CircuitBuilder, technology_map
 from repro.errors import CircuitError, DeviceError
 from repro.folding import TileResources, list_schedule
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
-from repro.cache.subarray import Subarray
+from repro.freac.mcc import make_tile
 
 
 @st.composite
@@ -61,10 +60,7 @@ def schedule_of(circuit, mccs):
 
 def run_corrupt(schedule):
     """Execute a corrupt schedule the way the device would (no lint)."""
-    tile = [
-        MicroComputeCluster(i, [Subarray() for _ in range(4)])
-        for i in range(schedule.resources.mccs)
-    ]
+    tile = make_tile(schedule.resources.mccs)
     executor = FoldedExecutor(schedule, tile, preflight=False)
     executor.load_configuration()
     from repro.circuits.netlist import NodeKind

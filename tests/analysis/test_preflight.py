@@ -6,13 +6,12 @@ import logging
 import pytest
 
 from repro.analysis import preflight_netlist, preflight_schedule
-from repro.cache.subarray import Subarray
 from repro.circuits import CircuitBuilder, technology_map
 from repro.circuits.netlist import Node, NodeKind
 from repro.errors import PreflightError
 from repro.folding import TileResources, list_schedule
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 
 
 def make_schedule():
@@ -22,13 +21,6 @@ def make_schedule():
     builder.bus_store("out", builder.mac(a, b, builder.const_word(0)))
     netlist = technology_map(builder.netlist, k=5).netlist
     return list_schedule(netlist, TileResources())
-
-
-def make_tile(mccs=1):
-    return [
-        MicroComputeCluster(i, [Subarray() for _ in range(4)])
-        for i in range(mccs)
-    ]
 
 
 def corrupt(schedule):
@@ -95,16 +87,16 @@ class TestPreflightNetlist:
 class TestExecutorGate:
     def test_executor_refuses_illegal_schedule(self):
         with pytest.raises(PreflightError):
-            FoldedExecutor(corrupt(make_schedule()), make_tile())
+            FoldedExecutor(corrupt(make_schedule()), make_tile(1))
 
     def test_preflight_false_bypasses_gate(self):
         executor = FoldedExecutor(
-            corrupt(make_schedule()), make_tile(), preflight=False
+            corrupt(make_schedule()), make_tile(1), preflight=False
         )
         assert executor.schedule is not None
 
     def test_clean_schedule_executes(self):
-        executor = FoldedExecutor(make_schedule(), make_tile())
+        executor = FoldedExecutor(make_schedule(), make_tile(1))
         executor.load_configuration()
         result = executor.run(streams={"a": [3], "b": [5]})
         assert result.stores["out"] == [15]

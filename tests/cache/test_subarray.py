@@ -1,6 +1,5 @@
 """SRAM sub-array: storage, bounds, and access accounting."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,19 +54,6 @@ class TestReadWrite:
             assert subarray.read_row(row) == value
 
 
-class TestBulk:
-    def test_load_dump_words(self, subarray):
-        words = np.arange(10, dtype=np.uint32) * 3
-        subarray.load_words(100, words)
-        assert list(subarray.dump_words(100, 10)) == list(words)
-
-    def test_bulk_bounds(self, subarray):
-        with pytest.raises(CacheError):
-            subarray.load_words(2040, np.zeros(10, dtype=np.uint32))
-        with pytest.raises(CacheError):
-            subarray.dump_words(2040, 10)
-
-
 class TestAccounting:
     def test_counts_reads_and_writes(self, subarray):
         subarray.write_row(0, 1)
@@ -93,9 +79,3 @@ class TestAccounting:
         assert subarray.access_count == 0
         # data survives a counter reset
         assert subarray.peek(0) == 1
-
-    def test_bulk_ops_charge_per_row(self, subarray):
-        subarray.load_words(0, np.zeros(16, dtype=np.uint32))
-        subarray.dump_words(0, 16)
-        assert subarray.writes == 16
-        assert subarray.reads == 16

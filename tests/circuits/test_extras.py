@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from repro.cache.subarray import Subarray
 from repro.circuits import simulate, technology_map
 from repro.circuits.extras import build_crc32_pe, build_popcount_pe
 from repro.circuits.simulate import simulate_sequential
 from repro.folding import TileResources, list_schedule, validate_schedule
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 
 
 class TestCrc32Functional:
@@ -45,10 +44,7 @@ class TestCrc32Folded:
         netlist = technology_map(build_crc32_pe(), k=5).netlist
         schedule = list_schedule(netlist, TileResources(mccs=4))
         validate_schedule(schedule, strict=True)
-        tile = [
-            MicroComputeCluster(i, [Subarray() for _ in range(4)])
-            for i in range(4)
-        ]
+        tile = make_tile(4)
         executor = FoldedExecutor(schedule, tile)
         executor.load_configuration()
         data = b"MICRO 2020"
@@ -60,10 +56,7 @@ class TestCrc32Folded:
     def test_reset_restarts_the_stream(self):
         netlist = technology_map(build_crc32_pe(), k=5).netlist
         schedule = list_schedule(netlist, TileResources(mccs=4))
-        tile = [
-            MicroComputeCluster(i, [Subarray() for _ in range(4)])
-            for i in range(4)
-        ]
+        tile = make_tile(4)
         executor = FoldedExecutor(schedule, tile)
         executor.load_configuration()
         executor.run(streams={"bytes": [0x55]})
@@ -87,10 +80,7 @@ class TestPopcount:
         netlist = technology_map(build_popcount_pe(words=2), k=5).netlist
         schedule = list_schedule(netlist, TileResources(mccs=2))
         validate_schedule(schedule)
-        tile = [
-            MicroComputeCluster(i, [Subarray() for _ in range(4)])
-            for i in range(2)
-        ]
+        tile = make_tile(2)
         executor = FoldedExecutor(schedule, tile)
         executor.load_configuration()
         result = executor.run(streams={"data": [0xF0F0F0F0, 0x1]})

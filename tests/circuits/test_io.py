@@ -92,13 +92,12 @@ class TestScheduleRoundtrip:
         assert restored.spills == schedule.spills
 
     def test_restored_schedule_executes(self):
-        from repro.cache.subarray import Subarray
         from repro.freac.executor import FoldedExecutor
-        from repro.freac.mcc import MicroComputeCluster
+        from repro.freac.mcc import make_tile
 
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
         restored = schedule_from_dict(schedule_to_dict(schedule))
-        tile = [MicroComputeCluster(0, [Subarray() for _ in range(4)])]
+        tile = make_tile(1)
         executor = FoldedExecutor(restored, tile)
         executor.load_configuration()
         result = executor.run(streams={"a": [40], "b": [2]})

@@ -8,13 +8,12 @@ in the folded executor (where it lives in the MCC FF banks).
 
 import pytest
 
-from repro.cache.subarray import Subarray
 from repro.circuits import CircuitBuilder, simulate, technology_map
 from repro.circuits.simulate import simulate_sequential
 from repro.errors import CircuitError
 from repro.folding import TileResources, list_schedule, validate_schedule
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 
 
 def build_counter(width=4):
@@ -132,10 +131,7 @@ class TestSequentialSynthesisAndFolding:
         mapped = technology_map(build_accumulator(), k=5).netlist
         schedule = list_schedule(mapped, TileResources(mccs=2))
         validate_schedule(schedule)
-        tile = [
-            MicroComputeCluster(i, [Subarray() for _ in range(4)])
-            for i in range(2)
-        ]
+        tile = make_tile(2)
         executor = FoldedExecutor(schedule, tile)
         executor.load_configuration()
         inputs = [3, 9, 1 << 20, 0xFFFFFFFF]
@@ -148,7 +144,7 @@ class TestSequentialSynthesisAndFolding:
     def test_executor_reset_state(self):
         mapped = technology_map(build_accumulator(), k=5).netlist
         schedule = list_schedule(mapped, TileResources(mccs=1))
-        tile = [MicroComputeCluster(0, [Subarray() for _ in range(4)])]
+        tile = make_tile(1)
         executor = FoldedExecutor(schedule, tile)
         executor.load_configuration()
         executor.run(streams={"in": [42]})

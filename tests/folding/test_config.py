@@ -1,5 +1,6 @@
 """Configuration bitstream layout."""
 
+import numpy as np
 import pytest
 
 from repro.circuits import technology_map
@@ -24,10 +25,8 @@ class TestLayout:
     def test_one_word_per_unit_per_cycle(self):
         schedule = schedule_of()
         image = generate_config(schedule)
-        assert len(image.lut_words) == 1            # one MCC
-        assert len(image.lut_words[0]) == 4         # four LUT units
-        for column in image.lut_words[0]:
-            assert len(column) == schedule.compute_cycles
+        # One MCC, four LUT units, one row per folding cycle.
+        assert image.words.shape == (1, 4, schedule.compute_cycles)
 
     def test_scheduled_tables_land_in_rows(self):
         schedule = schedule_of()
@@ -38,7 +37,7 @@ class TestLayout:
                 continue
             node = netlist.nodes[op.nid]
             _, table = node.payload
-            word = int(image.lut_words[op.mcc][op.unit][op.cycle - 1])
+            word = int(image.words[op.mcc, op.unit, op.cycle - 1])
             assert word == table
 
     def test_idle_slots_are_zero(self):
@@ -49,11 +48,9 @@ class TestLayout:
             for op in schedule.ops
             if op.slot is OpSlot.LUT
         }
-        for mcc, columns in enumerate(image.lut_words):
-            for unit, column in enumerate(columns):
-                for row, word in enumerate(column):
-                    if (mcc, unit, row) not in used:
-                        assert word == 0
+        for (mcc, unit, row), word in np.ndenumerate(image.words):
+            if (mcc, unit, row) not in used:
+                assert word == 0
 
     def test_total_bytes(self):
         image = generate_config(schedule_of())
@@ -69,13 +66,13 @@ class TestFourLutPacking:
         schedule = list_schedule(netlist, TileResources(lut_inputs=4))
         image = generate_config(schedule)
         # 8 logical units packed into 4 stored rows.
-        assert len(image.lut_words[0]) == 4
+        assert image.words.shape[1] == 4
         for op in schedule.ops:
             if op.slot is not OpSlot.LUT:
                 continue
             node = schedule.netlist.nodes[op.nid]
             _, table = node.payload
-            word = int(image.lut_words[op.mcc][op.unit // 2][op.cycle - 1])
+            word = int(image.words[op.mcc, op.unit // 2, op.cycle - 1])
             half = (word >> (16 * (op.unit % 2))) & 0xFFFF
             assert half == table
 

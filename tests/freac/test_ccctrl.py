@@ -9,6 +9,7 @@ from repro.circuits.library import mapped_pe
 from repro.freac.ccctrl import ComputeClusterController, ControllerState
 from repro.freac.compute_slice import ReconfigurableComputeSlice, SlicePartition
 from repro.freac.executor import StreamBinding
+from repro.freac.timing import config_time_s, reconfig_time_s
 
 
 def make_controller():
@@ -175,3 +176,36 @@ class TestProgramAndRun:
         controller.setup(SlicePartition(2, 2))
         with pytest.raises(ProtocolError):
             controller.verify_configuration()
+
+
+class TestProgramBilling:
+    """One billing rule for configuration writes: a tile's words (the
+    whole image on a fresh slice, the delta against the resident image
+    on a warm one) streamed over that tile's MCCs, as the timing model
+    bills them, and the same words on every tile."""
+
+    def test_reports_bill_what_the_timing_model_bills(self):
+        controller = make_controller()
+        controller.setup(SlicePartition(4, 2))
+        clock = controller.clock_hz
+        srt = list_schedule(mapped_pe("SRT"), TileResources())
+        cold = controller.program(srt)
+        image = controller.config_image
+        assert (cold.tiles, cold.delta) == (8, False)
+        assert cold.config_time_s == config_time_s(image, clock)
+        assert cold.config_words_total == image.total_words * cold.tiles
+
+        controller.teardown()
+        controller.setup(SlicePartition(4, 2))
+        controller.program(vadd_schedule())
+        resident = controller.config_image
+        warm = controller.program(srt)
+        assert warm.delta
+        assert warm.config_time_s == reconfig_time_s(image, resident, clock)
+        assert warm.config_words_total == (
+            image.delta_words(resident) * warm.tiles
+        )
+        assert 0 < warm.config_time_s < cold.config_time_s
+
+        again = controller.program(srt)
+        assert (again.config_words_total, again.config_time_s) == (0, 0.0)

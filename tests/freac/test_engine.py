@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.subarray import Subarray
 from repro.circuits import CircuitBuilder, simulate, technology_map
 from repro.circuits.library import build_pe, mapped_pe, pe_names
 from repro.errors import DeviceError
@@ -30,28 +29,18 @@ from repro.freac.executor import (
     FoldedExecutor,
     StreamBinding,
 )
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 from repro.params import SliceParams, SubarrayParams
 
 FAST_PES = [name for name in pe_names() if name != "AES"]
 PATHS = ("reference", "specialized")
 
 
-def make_tile(mccs, params=None, lut_inputs=5):
-    return [
-        MicroComputeCluster(i, [Subarray(params) for _ in range(4)],
-                            lut_inputs=lut_inputs)
-        for i in range(mccs)
-    ]
-
-
 def make_executors(schedule, mccs, params=None):
     """The oracle and the plan path on identical fresh hardware."""
     k = schedule.resources.lut_inputs
     reference = FoldedExecutor(schedule, make_tile(mccs, params, k))
-    plan = FoldedExecutor(
-        schedule, make_tile(mccs, params, k), config=reference.config
-    )
+    plan = FoldedExecutor(schedule, make_tile(mccs, params, k))
     reference.load_configuration()
     plan.load_configuration()
     return {"reference": reference, "specialized": plan}
@@ -257,8 +246,7 @@ def slice_state(controller):
     return {
         "tile_stats": [e.stats.as_dict() for e in controller.executors],
         "subarray_counters": [(sub.reads, sub.writes) for sub in subarrays],
-        "sram": [sub.peek_rows(np.arange(sub.rows)).tolist()
-                 for sub in subarrays],
+        "sram": cache.sram[[sub.index for sub in subarrays]].tolist(),
         "luts": [
             [(lut.evaluations, lut.reconfigurations, lut.config)
              for lut in mcc.luts]

@@ -7,6 +7,7 @@ direct functional simulation of the netlist.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,19 +16,19 @@ from repro.circuits import CircuitBuilder, simulate, technology_map
 from repro.circuits.library import build_pe, mapped_pe, pe_names
 from repro.errors import DeviceError
 from repro.folding import TileResources, list_schedule, level_schedule
+from repro.freac.ccctrl import ComputeClusterController
 from repro.freac.compute_slice import ReconfigurableComputeSlice, SlicePartition
 from repro.freac.executor import FoldedExecutor, StreamBinding
-from repro.freac.mcc import MicroComputeCluster
-from repro.cache.subarray import Subarray
+from repro.freac.mcc import make_tile
+from repro.params import SliceParams, SubarrayParams
 
 FAST_PES = [name for name in pe_names() if name != "AES"]
 
 
-def make_tile(mccs):
-    return [
-        MicroComputeCluster(i, [Subarray() for _ in range(4)])
-        for i in range(mccs)
-    ]
+@lru_cache(maxsize=None)
+def pe_schedule(name, mccs, lut_inputs):
+    return list_schedule(mapped_pe(name, lut_inputs),
+                         TileResources(mccs=mccs, lut_inputs=lut_inputs))
 
 
 def run_folded(netlist, streams, mccs=1, scheduler=list_schedule):
@@ -136,8 +137,7 @@ class TestSegmentedConfiguration:
         from repro.params import SubarrayParams
 
         tiny = SubarrayParams(size_bytes=32)  # 8 rows
-        tile = [MicroComputeCluster(0, [Subarray(tiny) for _ in range(4)])]
-        executor = FoldedExecutor(schedule, tile)
+        executor = FoldedExecutor(schedule, make_tile(1, tiny))
         assert executor.segments > 1
         executor.load_configuration()
         streams = {"in": [0b1011]}
@@ -191,6 +191,13 @@ class TestProtocol:
         with pytest.raises(DeviceError):
             FoldedExecutor(schedule, make_tile(1))
 
+    def test_tile_over_two_buffers_rejected(self):
+        """A tile's configuration is written as one block of one
+        buffer, so two standalone tiles glued together are refused."""
+        schedule = list_schedule(mapped_pe("VADD"), TileResources(mccs=2))
+        with pytest.raises(DeviceError, match="one buffer"):
+            FoldedExecutor(schedule, make_tile(1) + make_tile(1))
+
     def test_stats_accumulate(self):
         netlist = mapped_pe("VADD")
         schedule = list_schedule(netlist, TileResources())
@@ -203,3 +210,100 @@ class TestProtocol:
         assert stats.bus_loads == 4
         assert stats.bus_stores == 2
         assert stats.cycles == 2 * schedule.fold_cycles
+
+
+class TestConfigurationLayout:
+    """Block writes and scrubs against an independent loop over
+    (tile, MCC, sub-array): after every configuration step each
+    sub-array holds its image rows, and its (reads, writes) are what a
+    row-at-a-time loop charges."""
+
+    @given(
+        names=st.tuples(st.sampled_from(FAST_PES), st.sampled_from(FAST_PES)),
+        mccs=st.sampled_from((1, 2, 4)),
+        lut_inputs=st.tuples(st.sampled_from((4, 5)),
+                             st.sampled_from((4, 5))),
+        split=st.sampled_from((3, 4, 6)),
+        data=st.data(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_block_layout_matches_a_per_subarray_loop(
+        self, names, mccs, lut_inputs, split, data
+    ):
+        schedules = [pe_schedule(name, mccs, k)
+                     for name, k in zip(names, lut_inputs)]
+        # A row budget that segments both schedules; an even count
+        # keeps a way a whole number of cache lines.
+        rows = 2 * max(1, min(s.compute_cycles for s in schedules) // split)
+        params = SliceParams(subarray=SubarrayParams(size_bytes=4 * rows))
+        controller = ComputeClusterController(
+            ReconfigurableComputeSlice(params)
+        )
+        controller.setup(SlicePartition(4, 2))
+        charged = {id(sub): [0, 0] for sub in controller.slice.cache.subarrays}
+
+        def config_subarrays(executors):
+            """(sub-array, MCC, sub-array index), tile by tile, MCC-major."""
+            for executor in executors:
+                for m, mcc in enumerate(executor.tile):
+                    for s in range(executor.config.words.shape[1]):
+                        yield mcc.subarrays[s], m, s
+
+        def segment_rows(executor):
+            start = executor._loaded_segment * rows
+            return range(start, min(start + rows, executor.config.cycles))
+
+        def check(flipped=None):
+            """``flipped`` is a (sub-array, row) whose bit 0 was flipped."""
+            for executor in controller.executors:
+                window = segment_rows(executor)
+                for sub, m, s in config_subarrays([executor]):
+                    held = [sub.peek(row) for row in range(len(window))]
+                    expected = [int(executor.config.words[m, s, row])
+                                for row in window]
+                    if flipped is not None and flipped[0] is sub:
+                        expected[flipped[1]] ^= 1
+                    assert held == expected, (m, s)
+            assert {id(sub): [sub.reads, sub.writes]
+                    for sub in controller.slice.cache.subarrays} == charged
+
+        def charge_writes(executors):
+            for executor in executors:
+                for sub, _, _ in config_subarrays([executor]):
+                    charged[id(sub)][1] += len(segment_rows(executor))
+
+        for schedule in schedules:
+            resident = controller.schedule
+            controller.program(schedule, preflight=False)
+            assert controller.executors[0].segments > 1
+            if schedule is not resident:  # fresh, then warm
+                charge_writes(controller.executors)
+            check()
+
+        executors = controller.executors
+        for segment in range(executors[0].segments):
+            for executor in executors:
+                executor.load_segment(segment)
+            charge_writes(executors)
+            check()
+
+        assert controller.verify_configuration()
+        for sub, _, _ in config_subarrays(executors):
+            charged[id(sub)][0] += len(segment_rows(executors[0]))
+        check()
+
+        # Corrupt one row: the scrub reads up to and including the
+        # corrupted sub-array, and no tile after it.
+        victim = data.draw(st.sampled_from(
+            list(config_subarrays(executors))
+        ), label="victim")[0]
+        window = segment_rows(executors[0])
+        row = data.draw(st.integers(0, len(window) - 1), label="row")
+        victim.write_row(row, victim.peek(row) ^ 1)
+        charged[id(victim)][1] += 1
+        assert not controller.verify_configuration()
+        for sub, _, _ in config_subarrays(executors):
+            charged[id(sub)][0] += len(window)
+            if sub is victim:
+                break
+        check(flipped=(victim, row))

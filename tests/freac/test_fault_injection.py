@@ -7,7 +7,6 @@ lengths) produces observable failures, not silent success.
 
 import pytest
 
-from repro.cache.subarray import Subarray
 from repro.circuits import simulate
 from repro.circuits.library import mapped_pe
 from repro.errors import CapacityError, CircuitError
@@ -15,17 +14,13 @@ from repro.folding import TileResources, list_schedule
 from repro.folding.schedule import OpSlot
 from repro.freac.compute_slice import ReconfigurableComputeSlice, SlicePartition
 from repro.freac.executor import FoldedExecutor, StreamBinding
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 
 
 def make_executor(name="VADD", mccs=1):
     netlist = mapped_pe(name)
     schedule = list_schedule(netlist, TileResources(mccs=mccs))
-    tile = [
-        MicroComputeCluster(i, [Subarray() for _ in range(4)])
-        for i in range(mccs)
-    ]
-    executor = FoldedExecutor(schedule, tile)
+    executor = FoldedExecutor(schedule, make_tile(mccs))
     executor.load_configuration()
     return executor, schedule
 

@@ -8,9 +8,9 @@ configured with eight 4-input mux trees — and compare with simulation.
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.cache.subarray import Subarray
 from repro.circuits import CircuitBuilder, simulate, technology_map
 from repro.circuits.library import build_pe
 from repro.folding import (
@@ -20,18 +20,14 @@ from repro.folding import (
     validate_schedule,
 )
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 
 
 def lut4_pipeline(netlist, mccs=1):
     mapped = technology_map(netlist, k=4).netlist
     schedule = list_schedule(mapped, TileResources(mccs=mccs, lut_inputs=4))
     validate_schedule(schedule, strict=True)
-    tile = [
-        MicroComputeCluster(i, [Subarray() for _ in range(4)], lut_inputs=4)
-        for i in range(mccs)
-    ]
-    executor = FoldedExecutor(schedule, tile)
+    executor = FoldedExecutor(schedule, make_tile(mccs, lut_inputs=4))
     executor.load_configuration()
     return mapped, schedule, executor
 
@@ -74,7 +70,7 @@ class TestFourLutExecution:
         schedule = list_schedule(mapped, TileResources(lut_inputs=4))
         image = generate_config(schedule)
         # 8 logical units in 4 stored columns.
-        assert len(image.lut_words[0]) == 4
+        assert image.words.shape[1] == 4
 
 
 class TestConfigVerification:
@@ -82,14 +78,14 @@ class TestConfigVerification:
         pe = build_pe("VADD")
         mapped = technology_map(pe.netlist, k=5).netlist
         schedule = list_schedule(mapped, TileResources())
-        assert generate_config(schedule).checksum() == \
-            generate_config(schedule).checksum()
+        assert np.array_equal(generate_config(schedule).words,
+                              generate_config(schedule).words)
 
     def test_verify_detects_corruption(self):
         pe = build_pe("VADD")
         mapped = technology_map(pe.netlist, k=5).netlist
         schedule = list_schedule(mapped, TileResources())
-        tile = [MicroComputeCluster(0, [Subarray() for _ in range(4)])]
+        tile = make_tile(1)
         executor = FoldedExecutor(schedule, tile)
         executor.load_configuration()
         assert executor.verify_configuration()
@@ -100,8 +96,7 @@ class TestConfigVerification:
         pe = build_pe("VADD")
         mapped = technology_map(pe.netlist, k=5).netlist
         schedule = list_schedule(mapped, TileResources())
-        tile = [MicroComputeCluster(0, [Subarray() for _ in range(4)])]
-        executor = FoldedExecutor(schedule, tile)
+        executor = FoldedExecutor(schedule, make_tile(1))
         from repro.errors import DeviceError
 
         with pytest.raises(DeviceError):
@@ -116,13 +111,13 @@ class TestLutMode:
 
         mapped = technology_map(build_pe("NW").netlist, k=4).netlist
         schedule = list_schedule(mapped, TileResources(lut_inputs=4))
-        tile = [MicroComputeCluster(0, [Subarray() for _ in range(4)])]
+        tile = make_tile(1)
         with pytest.raises(DeviceError, match="5-LUT mode"):
             FoldedExecutor(schedule, tile)
         assert all(sub.writes == 0 for sub in tile[0].subarrays)
 
     def test_set_lut_mode_resizes_the_lut_units(self):
-        mcc = MicroComputeCluster(0, [Subarray() for _ in range(4)])
+        (mcc,) = make_tile(1)
         assert (mcc.lut_inputs, len(mcc.luts)) == (5, 4)
         mcc.set_lut_mode(4)
         assert (mcc.lut_inputs, len(mcc.luts)) == (4, 8)
@@ -132,7 +127,7 @@ class TestLutMode:
 
     def test_controller_programs_the_schedule_mode(self):
         """A default (5-LUT) slice serves a k=4 program, and a warm
-        slice switches k on a live reprogram."""
+        slice switches k when programmed again."""
         from repro.circuits.library import mapped_pe
         from repro.folding.schedule import OpSlot
         from repro.freac.ccctrl import ComputeClusterController
@@ -150,7 +145,7 @@ class TestLutMode:
         assert {mcc.lut_inputs for mcc in compute_slice.mccs} == {4}
         # The k=4 schedule addresses LUT units a 5-LUT MCC lacks.
         assert max(op.unit for op in k4.ops if op.slot is OpSlot.LUT) >= 4
-        controller.reprogram(k5)
+        controller.program(k5)
         assert {mcc.lut_inputs for mcc in compute_slice.mccs} == {5}
-        controller.reprogram(k4)
+        controller.program(k4)
         assert {mcc.lut_inputs for mcc in compute_slice.mccs} == {4}

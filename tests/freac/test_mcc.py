@@ -1,19 +1,27 @@
 """Micro compute cluster: config storage and per-cycle LUT evaluation."""
 
-import numpy as np
 import pytest
 
 from repro.cache.subarray import Subarray
-from repro.errors import CapacityError, DeviceError
-from repro.freac.mcc import MacUnit, MicroComputeCluster, RegisterBank
+from repro.errors import DeviceError
+from repro.freac.mcc import (
+    MacUnit,
+    MicroComputeCluster,
+    RegisterBank,
+    make_tile,
+)
 
 
 def make_mcc(lut_inputs=5):
-    return MicroComputeCluster(
-        index=0,
-        subarrays=[Subarray() for _ in range(4)],
-        lut_inputs=lut_inputs,
-    )
+    (mcc,) = make_tile(1, lut_inputs=lut_inputs)
+    return mcc
+
+
+def load_rows(mcc, columns):
+    """Write ``columns[s]`` into sub-array ``s`` from row 0 on."""
+    for subarray, words in zip(mcc.subarrays, columns):
+        for row, word in enumerate(words):
+            subarray.write_row(row, word)
 
 
 class TestMacUnit:
@@ -50,23 +58,14 @@ class TestConfiguration:
 
     def test_load_and_fetch(self):
         mcc = make_mcc()
-        words = [np.array([0xAAAA, 0xBBBB], dtype=np.uint32)
-                 for _ in range(4)]
-        written = mcc.load_configuration(words)
-        assert written == 8
+        load_rows(mcc, [[0xAAAA, 0xBBBB]] * 4)
         assert mcc.fetch_lut_config(0, 1) == 0xAAAA
         assert mcc.fetch_lut_config(0, 2) == 0xBBBB
-
-    def test_too_many_rows_rejected(self):
-        mcc = make_mcc()
-        with pytest.raises(CapacityError):
-            mcc.load_configuration([np.zeros(3000, dtype=np.uint32)])
 
     def test_4lut_mode_unpacks_halfwords(self):
         mcc = make_mcc(lut_inputs=4)
         assert len(mcc.luts) == 8
-        packed = np.array([(0xBEEF << 16) | 0xCAFE], dtype=np.uint32)
-        mcc.load_configuration([packed])
+        load_rows(mcc, [[(0xBEEF << 16) | 0xCAFE]])
         assert mcc.fetch_lut_config(0, 1) == 0xCAFE
         assert mcc.fetch_lut_config(1, 1) == 0xBEEF
 
@@ -74,7 +73,7 @@ class TestConfiguration:
 class TestEvaluation:
     def test_evaluate_charges_subarray_read(self):
         mcc = make_mcc()
-        mcc.load_configuration([np.array([0b0110_0110], dtype=np.uint32)])
+        load_rows(mcc, [[0b0110_0110]])
         before = mcc.subarray_reads
         # XOR table in the low bits; inputs padded to 5.
         result = mcc.evaluate_lut(0, 1, [1, 0, 0, 0, 0])
@@ -84,7 +83,7 @@ class TestEvaluation:
     def test_evaluate_uses_stored_config(self):
         """The answer must come from SRAM, not from any cached netlist."""
         mcc = make_mcc()
-        mcc.load_configuration([np.array([0b10], dtype=np.uint32)])  # BUF
+        load_rows(mcc, [[0b10]])  # BUF
         assert mcc.evaluate_lut(0, 1, [1, 0, 0, 0, 0]) == 1
         # Overwrite the row with NOT and the same inputs flip.
         mcc.subarrays[0].write_row(0, 0b01)

@@ -136,8 +136,7 @@ class TestConfigTime:
 
     def test_exact_value(self):
         image = generate_config(schedule("VADD", mccs=1))
-        mccs = len(image.lut_words)
-        expected = (-(-image.total_words // mccs)) / 2.0e9
+        expected = (-(-image.total_words // image.mccs)) / 2.0e9
         assert config_time_s(image, 2.0e9) == pytest.approx(expected)
 
     def test_faster_clock_is_faster(self):

@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.cache.subarray import Subarray
 from repro.circuits.library import mapped_pe
 from repro.folding import TileResources, list_schedule
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 
 
 @pytest.fixture
 def executor():
     schedule = list_schedule(mapped_pe("VADD"), TileResources())
-    tile = [MicroComputeCluster(0, [Subarray() for _ in range(4)])]
+    tile = make_tile(1)
     instance = FoldedExecutor(schedule, tile)
     instance.load_configuration()
     return instance

@@ -13,11 +13,10 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.subarray import Subarray
 from repro.circuits.library import build_pe, mapped_pe, pe_names
 from repro.folding import TileResources, list_schedule
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 from repro.optimizer import OptimizerConfig, optimize_schedule
 
 FAST_PES = [name for name in pe_names() if name != "AES"]
@@ -37,13 +36,6 @@ def outcome_for(name):
         )
         _OUTCOMES[name] = (heuristic, outcome)
     return _OUTCOMES[name]
-
-
-def make_tile(mccs):
-    return [
-        MicroComputeCluster(i, [Subarray() for _ in range(4)])
-        for i in range(mccs)
-    ]
 
 
 def executor_for(schedule):

@@ -108,7 +108,7 @@ class TestDiskRoundTrip:
         data = json.loads(
             (tmp_path / program.key.filename).read_text()
         )
-        assert data["version"] == DISK_FORMAT_VERSION == 5
+        assert data["version"] == DISK_FORMAT_VERSION == 6
         assert data["optimizer"] == BNB.token()
         assert data["opt_stats"] == program.opt_stats
         assert data["specialized"]["supported"] is True

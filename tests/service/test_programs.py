@@ -258,7 +258,7 @@ class TestDiskFormatMigration:
         assert (tmp_path / (seeded.key.filename + ".corrupt")).exists()
         # The recompile re-published the entry at the current format.
         republished = json.loads(path.read_text())
-        assert republished["version"] == DISK_FORMAT_VERSION == 5
+        assert republished["version"] == DISK_FORMAT_VERSION == 6
         assert republished["specialized"]["supported"] is True
 
     def test_v4_entry_is_quarantined_and_recompiled(self, tmp_path):
@@ -277,7 +277,7 @@ class TestDiskFormatMigration:
         assert calls == ["VADD"]
         assert cache.quarantined == 1
         assert (tmp_path / (seeded.key.filename + ".corrupt")).exists()
-        assert json.loads(path.read_text())["version"] == 5
+        assert json.loads(path.read_text())["version"] == 6
 
     def test_v4_round_trip_preserves_specialized_artifact(self, tmp_path):
         from repro.freac.specialize import plan_artifact

@@ -74,12 +74,11 @@ class TestFullFlow:
         """Executor counters and the analytical model agree on totals."""
         from repro.folding import TileResources, list_schedule
         from repro.freac.executor import FoldedExecutor
-        from repro.freac.mcc import MicroComputeCluster
-        from repro.cache.subarray import Subarray
+        from repro.freac.mcc import make_tile
 
         netlist = mapped_pe("VADD")
         schedule = list_schedule(netlist, TileResources())
-        tile = [MicroComputeCluster(0, [Subarray() for _ in range(4)])]
+        tile = make_tile(1)
         executor = FoldedExecutor(schedule, tile)
         executor.load_configuration()
         runs = 5

@@ -9,7 +9,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.subarray import Subarray
 from repro.circuits import CircuitBuilder, simulate, technology_map
 from repro.circuits.netlist import GateOp
 from repro.folding import (
@@ -20,7 +19,7 @@ from repro.folding import (
     validate_schedule,
 )
 from repro.freac.executor import FoldedExecutor
-from repro.freac.mcc import MicroComputeCluster
+from repro.freac.mcc import make_tile
 
 
 def random_mixed_circuit(seed: int):
@@ -69,11 +68,7 @@ class TestGrandInvariant:
         scheduler = list_schedule if algorithm == "list" else level_schedule
         schedule = scheduler(mapped, resources)
         validate_schedule(schedule)  # legality
-        tile = [
-            MicroComputeCluster(i, [Subarray() for _ in range(4)],
-                                lut_inputs=k)
-            for i in range(mccs)
-        ]
+        tile = make_tile(mccs, lut_inputs=k)
         executor = FoldedExecutor(schedule, tile)
         executor.load_configuration()
         rng = random.Random(seed ^ 0xABCDEF)
@@ -103,11 +98,11 @@ class TestGrandInvariant:
                 continue
             _, table = schedule.netlist.nodes[op.nid].payload
             if k == 4:
-                word = int(image.lut_words[op.mcc][op.unit // 2][op.cycle - 1])
+                word = int(image.words[op.mcc, op.unit // 2, op.cycle - 1])
                 half = (word >> (16 * (op.unit % 2))) & 0xFFFF
                 assert half == table
             else:
-                word = int(image.lut_words[op.mcc][op.unit][op.cycle - 1])
+                word = int(image.words[op.mcc, op.unit, op.cycle - 1])
                 assert word == table
 
     @given(st.integers(0, 10_000), st.sampled_from([1, 2, 4]))
