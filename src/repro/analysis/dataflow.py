@@ -37,15 +37,7 @@ from ..circuits.netlist import (
     WORD_MASK,
 )
 from ..folding.schedule import FoldingSchedule
-from ..folding.scheduler import op_dependences, output_ops
-
-#: Width in FF bits of each value-producing op class (mirrors the
-#: scheduler's pressure model; BUS_STORE produces no live value).
-VALUE_BITS = {
-    NodeKind.LUT: 1,
-    NodeKind.MAC: 32,
-    NodeKind.BUS_LOAD: 32,
-}
+from ..folding.scheduler import VALUE_BITS, op_dependences
 
 #: Default config rows per cache sub-array (paper Sec. IV).
 DEFAULT_ROWS_PER_SUBARRAY = 2048
@@ -197,8 +189,7 @@ def build_dataflow(
     """
     netlist = schedule.netlist
     n_nodes = len(netlist.nodes)
-    preds, succs = op_dependences(netlist)
-    outputs = output_ops(netlist)
+    preds, succs, outputs = op_dependences(netlist)
 
     # Executor semantics: op_by_nid, last entry wins.
     cycle_of: Dict[int, int] = {}

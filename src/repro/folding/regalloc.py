@@ -20,15 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..circuits.netlist import NodeKind
 from ..errors import CapacityError
 from .schedule import FoldingSchedule
-
-_VALUE_BITS = {
-    NodeKind.LUT: 1,
-    NodeKind.MAC: 32,
-    NodeKind.BUS_LOAD: 32,
-}
+from .scheduler import VALUE_BITS, op_dependences
 
 
 @dataclass(frozen=True)
@@ -140,18 +134,15 @@ class _Bank:
 
 def _live_intervals(schedule: FoldingSchedule) -> List[Tuple[int, int, int, int]]:
     """(def, last_use, width, nid) per value, post-spill residency."""
-    from .scheduler import _op_dependences, _output_ops
-
     netlist = schedule.netlist
-    preds, succs = _op_dependences(netlist)
-    output_ops = _output_ops(netlist)
+    _, succs, output_ops = op_dependences(netlist)
     cycle_of = {op.nid: op.cycle for op in schedule.ops}
     total = schedule.compute_cycles
     spilled = set(schedule.spills.spilled_nids)
     intervals: List[Tuple[int, int, int, int]] = []
     for nid, cycle in cycle_of.items():
         node = netlist.nodes[nid]
-        width = _VALUE_BITS.get(node.kind)
+        width = VALUE_BITS.get(node.kind)
         if width is None:
             continue
         uses = [cycle_of[s] for s in succs[nid]]

@@ -27,6 +27,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from ..circuits.level import level_graph
 from ..circuits.netlist import Netlist, NodeKind
 from ..errors import SchedulingError
@@ -43,8 +45,10 @@ from .schedule import (
 # its on-disk schedule cache with this, so stale entries are ignored.
 SCHEDULER_VERSION = 2
 
-# Width (in FF bits) of each value class held between folding steps.
-_VALUE_BITS = {
+#: Width in FF bits of each value class held between folding steps
+#: (BUS_STORE produces no live value).  The register allocator and the
+#: dataflow analysis tier share this table.
+VALUE_BITS = {
     NodeKind.LUT: 1,
     NodeKind.MAC: 32,
     NodeKind.BUS_LOAD: 32,
@@ -57,13 +61,17 @@ _VALUE_BITS = {
 
 def op_dependences(
     netlist: Netlist,
-) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
-    """Op-to-op edges, looking *through* wiring nodes.
+) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]], Set[int]]:
+    """Op-to-op edges, looking *through* wiring nodes, in one walk.
 
-    Returns (preds, succs) keyed by op nid.  ``preds[v]`` is the set of
-    op nodes whose values v consumes, possibly via PACK/BITSLICE
-    chains.  Public: the dataflow analysis tier builds its def-use IR
-    from the same dependence structure the schedulers use.
+    Returns (preds, succs, outputs).  ``preds[v]`` is the set of op
+    nodes whose values v consumes, possibly via PACK/BITSLICE chains;
+    ``succs`` is its inverse.  ``outputs`` holds the op nodes whose
+    values must stay live to the end of the schedule: primary outputs
+    and flip-flop next-state values are both read at the end of the
+    invocation.  Public: the register allocator, the dataflow analysis
+    tier and the optimizer build on the same structure the schedulers
+    use.
     """
     # op_sources[n] = set of op nids whose values flow out of node n.
     op_sources: Dict[int, frozenset] = {}
@@ -88,55 +96,23 @@ def op_dependences(
             op_sources[nid] = frozenset((nid,))
         else:
             op_sources[nid] = frozenset(incoming) if incoming else empty
-    return preds, succs
-
-
-def output_ops(netlist: Netlist) -> Set[int]:
-    """Op nodes whose values must stay live to the end of the schedule.
-
-    Primary outputs and flip-flop next-state values are both read at
-    the end of the invocation.
-    """
-    op_sources: Dict[int, frozenset] = {}
-    empty = frozenset()
-    for nid in netlist.topo_order():
-        node = netlist.nodes[nid]
-        if node.kind is NodeKind.FLIPFLOP:
-            op_sources[nid] = empty
-            continue
-        incoming: Set[int] = set()
-        for fanin in node.fanins:
-            incoming |= op_sources[fanin]
-        if node.is_op:
-            op_sources[nid] = frozenset((nid,))
-        else:
-            op_sources[nid] = frozenset(incoming) if incoming else empty
-    result: Set[int] = set()
+    outputs: Set[int] = set()
     for out in netlist.outputs.values():
-        result |= op_sources[out]
+        outputs |= op_sources[out]
     for ff in netlist.flipflops():
         if ff.fanins:
-            result |= op_sources[ff.fanins[0]]
-    return result
+            outputs |= op_sources[ff.fanins[0]]
+    return preds, succs, outputs
 
 
-# Backwards-compatible aliases (pre-dataflow-tier private names).
-_op_dependences = op_dependences
-_output_ops = output_ops
-
-# Public aliases for the optimal-mapping tier (repro.optimizer): its
-# rebuild step shares the physical slot layout and the spill post-pass
-# with the heuristic schedulers, so an optimized schedule is charged
-# exactly like a heuristic one.
-VALUE_BITS = _VALUE_BITS
-
-
-def _cone_priority(netlist: Netlist, preds: Dict[int, Set[int]]) -> Dict[int, int]:
+def _cone_priority(
+    netlist: Netlist, preds: Dict[int, Set[int]], outputs: Set[int]
+) -> Dict[int, int]:
     """Depth-first post-order rank from the outputs / stores."""
     roots = sorted(
         set(nid for nid, node in enumerate(netlist.nodes)
             if node.kind is NodeKind.BUS_STORE)
-        | output_ops(netlist)
+        | outputs
     )
     rank: Dict[int, int] = {}
     counter = 0
@@ -170,40 +146,44 @@ def _cone_priority(netlist: Netlist, preds: Dict[int, Set[int]]) -> Dict[int, in
 # ---------------------------------------------------------------------------
 
 class _SlotGrid:
-    """Per-cycle usage counters with an exact first-free hint."""
+    """Per-cycle usage counters with path-compressed next-free pointers.
+
+    Per slot class, ``_used[c]`` counts the ops placed in cycle ``c``
+    and ``_next[c]`` is ``c`` while that cycle has a free slot; once it
+    is full, a later cycle such that every cycle in between is full
+    too.  Cycles past the end of the lists are empty, and index 0 is
+    unused (cycles are 1-based).
+    """
 
     def __init__(self, resources: TileResources) -> None:
-        self._resources = resources
-        self._used: Dict[OpSlot, List[int]] = {slot: [] for slot in OpSlot}
-        self._hint: Dict[OpSlot, int] = {slot: 1 for slot in OpSlot}
-
-    def _count(self, slot: OpSlot, cycle: int) -> int:
-        column = self._used[slot]
-        index = cycle - 1
-        return column[index] if index < len(column) else 0
+        self._capacity = {slot: resources.slots(slot) for slot in OpSlot}
+        self._used: Dict[OpSlot, List[int]] = {slot: [0] for slot in OpSlot}
+        self._next: Dict[OpSlot, List[int]] = {slot: [0] for slot in OpSlot}
 
     def place(self, slot: OpSlot, earliest: int) -> Tuple[int, int]:
         """Earliest cycle >= ``earliest`` with a free slot; returns
         (cycle, index-within-cycle)."""
-        capacity = self._resources.slots(slot)
-        cycle = max(earliest, self._hint[slot])
-        while self._count(slot, cycle) >= capacity:
-            cycle += 1
-        column = self._used[slot]
-        while len(column) < cycle:
-            column.append(0)
-        index = column[cycle - 1]
-        column[cycle - 1] += 1
-        if column[cycle - 1] >= capacity and cycle == self._hint[slot]:
-            hint = self._hint[slot]
-            while self._count(slot, hint) >= capacity:
-                hint += 1
-            self._hint[slot] = hint
+        used = self._used[slot]
+        following = self._next[slot]
+        cycle = earliest
+        path: List[int] = []
+        while cycle < len(following) and following[cycle] != cycle:
+            path.append(cycle)
+            cycle = following[cycle]
+        for visited in path:
+            following[visited] = cycle
+        while len(used) <= cycle:
+            following.append(len(used))
+            used.append(0)
+        index = used[cycle]
+        used[cycle] = index + 1
+        if index + 1 >= self._capacity[slot]:
+            following[cycle] = cycle + 1
         return cycle, index
 
     @property
     def max_cycle(self) -> int:
-        return max((len(column) for column in self._used.values()), default=0)
+        return max(len(column) for column in self._used.values()) - 1
 
 
 def _physical(resources: TileResources, slot: OpSlot, index: int) -> Tuple[int, int]:
@@ -227,19 +207,25 @@ def _pressure_pass(
     resources: TileResources,
     cycle_of: Dict[int, int],
     total_cycles: int,
-    preds: Dict[int, Set[int]],
     succs: Dict[int, Set[int]],
+    outputs: Set[int],
 ) -> Tuple[int, SpillInfo]:
-    """Compute peak FF occupancy and spill down to capacity."""
-    outputs = output_ops(netlist)
+    """Compute peak FF occupancy and spill down to capacity.
+
+    While the leftmost peak of the occupancy profile exceeds the FF
+    capacity, one value live across the peak cycle is spilled: of the
+    unspilled values that cover it and span at least 3 cycles (room
+    for the store and the reload), the one with the largest (idle
+    span, width), the first in ``cycle_of`` order on ties.  A spilled
+    value stays resident only in the cycle after its definition and in
+    its last-use cycle.
+    """
     intervals: List[Tuple[int, int, int, int]] = []  # (def, last_use, bits, nid)
     for nid, cycle in cycle_of.items():
-        node = netlist.nodes[nid]
-        bits = _VALUE_BITS.get(node.kind)
+        bits = VALUE_BITS.get(netlist.nodes[nid].kind)
         if bits is None:
             continue  # BUS_STORE produces no live value
-        uses = [cycle_of[s] for s in succs[nid]]
-        last_use = max(uses, default=cycle)
+        last_use = max((cycle_of[s] for s in succs[nid]), default=cycle)
         if nid in outputs:
             last_use = max(last_use, total_cycles)
         if last_use > cycle:
@@ -250,55 +236,43 @@ def _pressure_pass(
     if not intervals:
         return 0, spills
 
-    # Incrementally-maintained occupancy difference array: spilling a
-    # value only touches its own interval, so the O(cycles) rescan per
-    # spill is the peak search, not a rebuild.
-    diff = [0] * (total_cycles + 2)
+    # occupancy[c - 1] is the FF bits live in cycle c: the widths of the
+    # values with def < c <= last_use.
+    defs, last_uses, widths, _ = (np.array(column) for column in zip(*intervals))
+    delta = np.zeros(total_cycles + 1, dtype=np.int64)
+    np.add.at(delta, defs, widths)
+    np.add.at(delta, last_uses, -widths)
+    occupancy = np.cumsum(delta[:total_cycles])
+    peak = int(np.argmax(occupancy))  # the leftmost peak is cycle peak + 1
+    max_live = int(occupancy[peak])
+    if max_live <= capacity:
+        return max_live, spills
 
-    def apply(start: int, end: int, bits: int) -> None:
-        diff[start + 1] += bits
-        if end + 1 <= total_cycles:
-            diff[end + 1] -= bits
-
-    for start, end, bits, _ in intervals:
-        apply(start, end, bits)
-
-    def peak() -> Tuple[int, int]:
-        best, best_cycle, running = 0, 1, 0
-        for cycle in range(1, total_cycles + 1):
-            running += diff[cycle]
-            if running > best:
-                best, best_cycle = running, cycle
-        return best, best_cycle
-
-    active = list(intervals)
-    unspillable: Set[int] = set()
-    max_live, peak_cycle = peak()
+    # Spill candidates in victim order: the stable sort keeps equal
+    # ones in ``cycle_of`` order.
+    ranked = sorted(
+        (iv for iv in intervals if iv[1] - iv[0] >= 3),
+        key=lambda iv: (iv[0] - iv[1], -iv[2]),
+    )
+    ranked_defs = np.array([iv[0] for iv in ranked], dtype=np.int64)
+    ranked_last_uses = np.array([iv[1] for iv in ranked], dtype=np.int64)
+    unspilled = np.ones(len(ranked), dtype=bool)
     while max_live > capacity:
-        candidates = [
-            iv for iv in active
-            if iv[0] < peak_cycle <= iv[1]
-            and iv[3] not in unspillable
-            and iv[1] - iv[0] >= 3  # need room for store + reload
-        ]
-        if not candidates:
+        # Live in cycle peak + 1: def <= peak < last_use.
+        covering = unspilled & (ranked_defs <= peak) & (peak < ranked_last_uses)
+        if not covering.any():
             break
-        # Spill the value idle for the longest, widest first.
-        victim = max(candidates, key=lambda iv: (iv[1] - iv[0], iv[2]))
-        active.remove(victim)
-        start, end, bits, nid = victim
-        apply(start, end, -bits)
-        # After spilling the value is resident only just after its
-        # definition and just before its reload-use.
-        for stub in ((start, start + 1, bits, nid), (end - 1, end, bits, nid)):
-            active.append(stub)
-            apply(stub[0], stub[1], bits)
-        unspillable.add(nid)
+        victim = int(np.argmax(covering))
+        unspilled[victim] = False
+        start, end, bits, nid = ranked[victim]
+        # Resident only in cycles start + 1 and end from now on.
+        occupancy[start + 1:end - 1] -= bits
         words = max(1, bits // 32)
         spills.spilled_values += 1
         spills.spill_words += 2 * words
         spills.spilled_nids.append(nid)
-        max_live, peak_cycle = peak()
+        peak = int(np.argmax(occupancy))
+        max_live = int(occupancy[peak])
 
     per_cycle_bus = max(resources.bus_ops_per_cycle, 1)
     spills.spill_cycles = -(-spills.spill_words // per_cycle_bus)
@@ -318,8 +292,8 @@ pressure_pass = _pressure_pass
 def list_schedule(netlist: Netlist, resources: TileResources) -> FoldingSchedule:
     """Cone-ordered list scheduling (the production scheduler)."""
     _reject_unmapped(netlist, resources)
-    preds, succs = op_dependences(netlist)
-    priority = _cone_priority(netlist, preds)
+    preds, succs, outputs = op_dependences(netlist)
+    priority = _cone_priority(netlist, preds, outputs)
     grid = _SlotGrid(resources)
 
     remaining = {nid: len(preds[nid]) for nid in preds}
@@ -353,7 +327,7 @@ def list_schedule(netlist: Netlist, resources: TileResources) -> FoldingSchedule
 
     total_cycles = grid.max_cycle
     max_live, spills = _pressure_pass(
-        netlist, resources, cycle_of, total_cycles, preds, succs
+        netlist, resources, cycle_of, total_cycles, succs, outputs
     )
     ops.sort(key=lambda op: (op.cycle, op.slot.value, op.mcc, op.unit))
     return FoldingSchedule(
@@ -370,9 +344,8 @@ def list_schedule(netlist: Netlist, resources: TileResources) -> FoldingSchedule
 def level_schedule(netlist: Netlist, resources: TileResources) -> FoldingSchedule:
     """The paper's level-partition folding (ablation baseline)."""
     _reject_unmapped(netlist, resources)
-    preds, succs = op_dependences(netlist)
+    _, succs, outputs = op_dependences(netlist)
     graph = level_graph(netlist)
-    grid = _SlotGrid(resources)
     cycle_of: Dict[int, int] = {}
     ops: List[ScheduledOp] = []
     level_start = 1
@@ -399,7 +372,7 @@ def level_schedule(netlist: Netlist, resources: TileResources) -> FoldingSchedul
         level_start += span
     total_cycles = level_start - 1
     max_live, spills = _pressure_pass(
-        netlist, resources, cycle_of, total_cycles, preds, succs
+        netlist, resources, cycle_of, total_cycles, succs, outputs
     )
     ops.sort(key=lambda op: (op.cycle, op.slot.value, op.mcc, op.unit))
     return FoldingSchedule(

@@ -61,7 +61,7 @@ class OpGraph:
 
 
 def build_graph(netlist: Netlist) -> OpGraph:
-    preds, succs = op_dependences(netlist)
+    preds, succs, _ = op_dependences(netlist)
     slot_of = {
         nid: slot_for_kind(netlist.nodes[nid].kind) for nid in preds
     }

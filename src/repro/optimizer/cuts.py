@@ -12,9 +12,9 @@ actual cover.  Fewer LUTs lower the resource bound directly — on the
 LUT-dominated MachSuite benchmarks this is where most of the fold
 reduction comes from (docs/optimizer.md has per-benchmark numbers).
 
-Function is preserved exactly: each chosen cut's truth table is
-computed by cone evaluation over the *original* netlist
-(:func:`repro.circuits.techmap._cone_function`), property-tested
+Function is preserved exactly: each chosen cut's truth table is built
+by bitwise composition over its cone in the *original* netlist
+(:func:`repro.circuits.techmap.cone_truth_table`), property-tested
 against random netlists in ``tests/optimizer/test_remap.py``.
 
 The pass is deadline-aware: it polls the injected clock between work
@@ -28,7 +28,7 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..circuits.netlist import Netlist, NodeKind
-from ..circuits.techmap import _cone_function
+from ..circuits.techmap import cone_truth_table
 
 Cut = FrozenSet[int]
 
@@ -233,7 +233,7 @@ def _emit(
             if nid not in chosen:
                 continue  # internal to some cone
             leaves = chosen[nid]
-            table = _cone_function(netlist, nid, leaves)
+            table = cone_truth_table(netlist, nid, leaves)
             size = 1 << len(leaves)
             mask = (1 << size) - 1
             if (table & mask) == 0:

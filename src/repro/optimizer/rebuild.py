@@ -12,7 +12,7 @@ heuristic one except by its ``algorithm`` tag.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..circuits.netlist import Netlist
 from ..errors import OptimizerError
@@ -23,7 +23,7 @@ from ..folding.schedule import (
     TileResources,
     slot_for_kind,
 )
-from ..folding.scheduler import physical_slot, pressure_pass
+from ..folding.scheduler import op_dependences, physical_slot, pressure_pass
 
 
 def rebuild_schedule(
@@ -32,8 +32,6 @@ def rebuild_schedule(
     cycle_of: Dict[int, int],
     *,
     algorithm: str,
-    preds: Optional[Dict[int, Set[int]]] = None,
-    succs: Optional[Dict[int, Set[int]]] = None,
 ) -> FoldingSchedule:
     """``nid -> cycle`` (1-based) to a complete folding schedule.
 
@@ -41,10 +39,7 @@ def rebuild_schedule(
     class in any cycle or violates a dependence edge — the rebuilder
     trusts no search.
     """
-    if preds is None or succs is None:
-        from ..folding.scheduler import op_dependences
-
-        preds, succs = op_dependences(netlist)
+    preds, succs, outputs = op_dependences(netlist)
     if set(cycle_of) != set(preds):
         missing = len(set(preds) - set(cycle_of))
         extra = len(set(cycle_of) - set(preds))
@@ -83,7 +78,7 @@ def rebuild_schedule(
 
     total_cycles = max(cycle_of.values(), default=0)
     max_live, spills = pressure_pass(
-        netlist, resources, cycle_of, total_cycles, preds, succs
+        netlist, resources, cycle_of, total_cycles, succs, outputs
     )
     ops.sort(key=lambda op: (op.cycle, op.slot.value, op.mcc, op.unit))
     return FoldingSchedule(

@@ -7,11 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import CircuitBuilder, simulate, technology_map
 from repro.circuits.netlist import GateOp, Netlist, NodeKind
+from repro.circuits.techmap import cone_truth_table
 from repro.errors import SynthesisError
 
 
 def random_gate_network(seed: int, inputs: int = 6, gates: int = 40) -> Netlist:
-    """A random combinational gate DAG with all gates as outputs."""
+    """A random combinational gate DAG with all gates as outputs.
+
+    About one operand in ten is a constant, so cuts get CONST leaves.
+    """
     rng = random.Random(seed)
     builder = CircuitBuilder(f"rand{seed}")
     nodes = [builder.bit_input(f"x{i}") for i in range(inputs)]
@@ -19,7 +23,11 @@ def random_gate_network(seed: int, inputs: int = 6, gates: int = 40) -> Netlist:
                  GateOp.NOR, GateOp.XNOR]
     for _ in range(gates):
         op = rng.choice(two_input + [GateOp.NOT, GateOp.MUX])
-        operands = [rng.choice(nodes) for _ in range(op.arity)]
+        operands = [
+            builder.const_bit(rng.getrandbits(1)) if rng.random() < 0.1
+            else rng.choice(nodes)
+            for _ in range(op.arity)
+        ]
         nodes.append(builder.gate(op, *operands))
     # Expose a handful of nodes so the mapper must preserve them.
     for index, node in enumerate(nodes[-8:]):
@@ -60,6 +68,32 @@ class TestFunctionPreservation:
         original = random_gate_network(seed, inputs=5, gates=25)
         mapped = technology_map(original, k=4)
         assert_equivalent(original, mapped.netlist, inputs=5, samples=32)
+
+
+class TestConeTruthTable:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_simulation_over_the_inputs(self, seed):
+        # With the primary inputs as leaves, the constants the generator
+        # draws sit inside the cones, not at their leaves.
+        netlist = random_gate_network(seed, inputs=5, gates=30)
+        leaves = [nid for nid, node in enumerate(netlist.nodes)
+                  if node.kind is NodeKind.BIT_INPUT]
+        tables = {name: cone_truth_table(netlist, root, leaves)
+                  for name, root in netlist.outputs.items()}
+        for assignment in range(1 << len(leaves)):
+            bindings = {f"x{i}": (assignment >> i) & 1
+                        for i in range(len(leaves))}
+            outputs = simulate(netlist, bindings).outputs
+            for name, table in tables.items():
+                assert outputs[name] == (table >> assignment) & 1
+
+    def test_leaves_that_do_not_cut_the_cone_raise(self):
+        builder = CircuitBuilder()
+        a = builder.bit_input("a")
+        b = builder.bit_input("b")
+        root = builder.xor_(a, builder.not_(b))
+        with pytest.raises(SynthesisError, match="non-logic node"):
+            cone_truth_table(builder.netlist, root, (a,))
 
 
 class TestWideLutDecomposition:
@@ -122,6 +156,18 @@ class TestStructure:
         mapped = technology_map(builder.netlist, k=5).netlist
         assert mapped.counts().get("lut", 0) == 0
         assert simulate(mapped, {"x0": 1}).outputs["f"] == 1
+
+    def test_mux_fits_two_input_luts(self):
+        builder = CircuitBuilder()
+        select, low, high = (builder.bit_input(f"x{i}") for i in range(3))
+        builder.output_bit("f", builder.mux(select, low, high))
+        mapped = technology_map(builder.netlist, k=2).netlist
+        assert all(node.payload[0] <= 2 for node in mapped.nodes
+                   if node.kind is NodeKind.LUT)
+        for assignment in range(8):
+            bindings = {f"x{i}": (assignment >> i) & 1 for i in range(3)}
+            want = bindings["x2"] if bindings["x0"] else bindings["x1"]
+            assert simulate(mapped, bindings).outputs["f"] == want
 
     def test_depth_reported(self):
         original = random_gate_network(5)

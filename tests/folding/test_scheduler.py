@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import CircuitBuilder, technology_map
+from repro.circuits.io import netlist_to_dict
 from repro.circuits.library import mapped_pe, pe_names
 from repro.errors import SchedulingError
 from repro.folding import (
@@ -12,9 +13,22 @@ from repro.folding import (
     list_schedule,
     validate_schedule,
 )
+from repro.folding.io import schedule_to_dict
+
+from .test_compile_pins import digest
 
 FAST_PES = [name for name in pe_names() if name != "AES"]
 SIZES = (1, 2, 4, 8)
+
+# Digests of the mapped AES netlist and its list schedules, pinned like
+# the other PEs' in test_compile_pins.py (re-pinning means bumping
+# SCHEDULER_VERSION).  Tile 1 spills about 1.5k values.
+AES_NETLIST_PIN = "48f4244caeb7bd96"
+AES_SCHEDULE_PINS = {
+    1: "c7491c4640b1497d",
+    8: "7a4c94b2bcca61cf",
+    32: "85f52e559a5aeb15",
+}
 
 
 class TestLegality:
@@ -32,8 +46,11 @@ class TestLegality:
     @pytest.mark.slow
     @pytest.mark.parametrize("mccs", (1, 8, 32))
     def test_aes_schedules_are_legal(self, mccs):
-        schedule = list_schedule(mapped_pe("AES"), TileResources(mccs=mccs))
+        netlist = mapped_pe("AES")
+        schedule = list_schedule(netlist, TileResources(mccs=mccs))
         validate_schedule(schedule, strict=True)
+        assert digest(netlist_to_dict(netlist)) == AES_NETLIST_PIN
+        assert digest(schedule_to_dict(schedule)) == AES_SCHEDULE_PINS[mccs]
 
     def test_unmapped_gates_rejected(self):
         builder = CircuitBuilder()
