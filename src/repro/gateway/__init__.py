@@ -9,19 +9,14 @@ cache — behind one asyncio :class:`Gateway` that routes by
 program-cache key (consistent hashing keeps hot programs
 shard-local), applies fleet-wide admission control, restarts or
 evicts dead shards with job reroute, and aggregates per-shard stats
-and traces into one fleet view.  See docs/serving.md ("Sharded
-gateway").
+and traces into one fleet view.  Each shard talks to the gateway
+over one ``multiprocessing`` pipe, one ``Connection.send`` pickle
+per :mod:`~repro.gateway.protocol` message, and sends each result
+from the worker thread that finished the job.  See docs/serving.md
+("Sharded gateway").
 """
 
 from .client import GatewayClient
-from .framing import (
-    FrameDecoder,
-    FramingError,
-    decode_frame,
-    encode_frame,
-    recv_message,
-    send_message,
-)
 from .gateway import (
     FleetStats,
     Gateway,
@@ -45,10 +40,4 @@ __all__ = [
     "ShardConfig",
     "ShardRuntime",
     "shard_main",
-    "FrameDecoder",
-    "FramingError",
-    "encode_frame",
-    "decode_frame",
-    "send_message",
-    "recv_message",
 ]

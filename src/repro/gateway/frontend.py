@@ -70,6 +70,7 @@ def burst_requests(count: int, items: int, seed: int,
 
 
 async def run_gateway(args: argparse.Namespace) -> int:
+    config = build_config(args)
     if args.burst is not None:
         requests = burst_requests(
             args.burst, args.items, args.seed,
@@ -87,7 +88,7 @@ async def run_gateway(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 2
 
-    client = await GatewayClient.launch(build_config(args))
+    client = await GatewayClient.launch(config)
     exit_code = 0
     totals: Dict[str, int] = {}
     try:

@@ -55,7 +55,6 @@ from ..errors import ServiceError
 from ..service.jobs import JobResult, JobState
 from ..service.stats import ServiceStats
 from ..telemetry.merge import merge_chrome_trace, merge_metrics
-from .framing import recv_message, send_message
 from .hashring import HashRing
 from .protocol import (
     ByeMsg,
@@ -144,7 +143,7 @@ class ShardHandle:
         self.alive = True
 
     def observe_heartbeat(self, msg: HeartbeatMsg) -> None:
-        """Called from the reader thread on every heartbeat frame."""
+        """Called from the reader thread on every heartbeat message."""
         with self._lock:
             self.last_heartbeat_s = time.monotonic()
             self.heartbeat_seq = msg.sequence
@@ -152,7 +151,7 @@ class ShardHandle:
             self.reported_queue_depth = msg.queue_depth
 
     def touch(self) -> None:
-        """Any frame from the shard proves it lives."""
+        """Any message from the shard proves it lives."""
         with self._lock:
             self.last_heartbeat_s = time.monotonic()
 
@@ -319,13 +318,27 @@ class Gateway:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn every shard and wait until all report ready."""
+        """Spawn every shard and wait until all report ready.
+
+        A shard that dies or stays silent before it is ready fails the
+        start: every shard process is stopped, then :class:`ServiceError`
+        names the shard.
+        """
         self._loop = asyncio.get_running_loop()
         self._drain_event = asyncio.Event()
         self._drain_event.set()
         for shard_id in range(self.config.shards):
             self._spawn_shard(shard_id, generation=0)
-        await self._await_ready(set(self.handles))
+        try:
+            await self._await_ready(set(self.handles))
+        except ServiceError:
+            self._closed = True
+            for handle in self.handles.values():
+                handle.process.terminate()
+            for handle in self.handles.values():
+                handle.process.join()
+                handle.connection.close()
+            raise
         self._monitor_task = self._loop.create_task(self._monitor())
 
     def _spawn_shard(self, shard_id: int, generation: int) -> None:
@@ -352,6 +365,11 @@ class Gateway:
     async def _await_ready(self, shard_ids: set) -> None:
         deadline = time.monotonic() + START_TIMEOUT_S
         while True:
+            for sid in sorted(shard_ids):
+                if not self.handles[sid].is_alive():
+                    raise ServiceError(
+                        f"shard {sid} exited before it was ready"
+                    )
             missing = [
                 sid for sid in shard_ids if not self.handles[sid].ready
             ]
@@ -371,7 +389,7 @@ class Gateway:
         """One blocking reader per shard (daemon thread)."""
         while True:
             try:
-                msg = recv_message(handle.connection)
+                msg = handle.connection.recv()
             except (EOFError, OSError):
                 handle.mark_dead()
                 self._post(self._on_shard_eof, handle)
@@ -435,7 +453,10 @@ class Gateway:
         self._resolve(msg.job_id, result)
 
     def _on_shard_eof(self, handle: ShardHandle) -> None:
-        if self._closed or self.handles.get(handle.shard_id) is not handle:
+        # Until start() has seen every shard ready, a death fails the
+        # start instead of restarting the shard.
+        if (self._closed or self._monitor_task is None
+                or self.handles.get(handle.shard_id) is not handle):
             return
         self._declare_dead(handle, reason="pipe EOF")
 
@@ -519,9 +540,7 @@ class Gateway:
         job.shard_id = shard_id
         handle.assigned += 1
         try:
-            send_message(
-                handle.connection, SubmitMsg(job_id=job.id, spec=job.spec)
-            )
+            handle.connection.send(SubmitMsg(job_id=job.id, spec=job.spec))
         except (BrokenPipeError, OSError):
             # The shard just died under us; the EOF path will reroute
             # everything assigned there, including this job.
@@ -716,7 +735,7 @@ class Gateway:
             self._stats_waiters[request_id] = waiter
             waiters[handle.shard_id] = waiter
             try:
-                send_message(handle.connection, StatsMsg(
+                handle.connection.send(StatsMsg(
                     request_id=request_id, with_telemetry=with_telemetry,
                 ))
             except (BrokenPipeError, OSError):
@@ -794,7 +813,7 @@ class Gateway:
             self._monitor_task.cancel()
         for handle in list(self.handles.values()):
             try:
-                send_message(handle.connection, ShutdownMsg(drain=drain))
+                handle.connection.send(ShutdownMsg(drain=drain))
             except (BrokenPipeError, OSError):
                 pass
         deadline = time.monotonic() + timeout_s

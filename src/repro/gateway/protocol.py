@@ -2,8 +2,9 @@
 
 Everything here is a frozen dataclass of plain ints/strs/floats (or
 wire-format objects like :class:`~repro.service.jobs.JobResult` that
-guarantee the same), pickled inside the frames of
-:mod:`repro.gateway.framing`.  Two directions:
+guarantee the same), sent as one ``multiprocessing.Connection``
+message each: ``Connection.send`` pickles and length-prefixes it, and
+both ends run the same code.  Two directions:
 
 Gateway -> shard
     :class:`SubmitMsg` (one job), :class:`StatsMsg` (snapshot
@@ -36,7 +37,7 @@ class JobSpec:
 
     A plain-payload mirror of the ``AcceleratorService.submit``
     keyword surface (datasets deliberately excluded: the shard
-    regenerates them from ``seed``, which keeps submit frames tiny).
+    regenerates them from ``seed``, which keeps submit messages tiny).
     """
 
     benchmark: str

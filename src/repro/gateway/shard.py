@@ -3,41 +3,41 @@
 ``freac gateway`` spawns N of these (``multiprocessing`` *spawn*
 start method — fork is unsafe under the thread pools both sides run).
 Each shard process hosts a full service — its own device pool, worker
-threads, and a namespaced on-disk program cache — and speaks the
-framed message protocol of :mod:`repro.gateway.framing` over the
-``multiprocessing.Pipe`` it was born with.
+threads, and a namespaced on-disk program cache — and exchanges the
+messages of :mod:`repro.gateway.protocol` over the
+``multiprocessing.Pipe`` it was born with, one ``Connection.send``
+pickle each.
 
 Thread layout inside a shard (all non-daemon, all joined on exit):
 
 * **main thread** — blocking receive loop; admits submits into the
   service, answers stats requests, executes shutdown.
-* **completer** — drains the done-queue fed by the service's
-  ``done_callback`` hook (O(1) per job, no polling) and sends one
-  :class:`~repro.gateway.protocol.ResultMsg` per terminal job.
+* **service workers** — run the waves; the service's
+  ``done_callback`` sends each job's
+  :class:`~repro.gateway.protocol.ResultMsg` from the worker that
+  finished it.
 * **heartbeat** — periodic :class:`HeartbeatMsg` with live load
   figures, the gateway's liveness signal.
 
-All writes to the pipe go through one send lock — frames from the
-completer and heartbeat threads must never interleave mid-frame.
+All writes to the pipe go through one send lock — messages from the
+workers, the heartbeat and the main thread must never interleave.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import queue
 import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..params import scaled_system
-from ..errors import ReproError
+from ..errors import ReproError, ServiceError
 from ..telemetry import Telemetry
 from ..telemetry.merge import spans_snapshot
 from ..service.elastic import ElasticConfig
-from ..service.jobs import Job, JobResult, JobState
+from ..service.jobs import Job
 from ..service.service import AcceleratorService
-from .framing import send_message, recv_message
 from .protocol import (
     ByeMsg,
     HeartbeatMsg,
@@ -51,9 +51,6 @@ from .protocol import (
 )
 
 logger = logging.getLogger("repro.gateway.shard")
-
-#: Sentinel pushed into the done-queue to stop the completer thread.
-_STOP = object()
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,12 @@ class ShardConfig:
     elastic: Optional["ElasticConfig"] = None
     heartbeat_s: float = 0.2
     telemetry: bool = True
+
+    def __post_init__(self) -> None:
+        # A shard never steps its service inline: without a worker
+        # thread no submitted job would ever run.
+        if self.workers < 1:
+            raise ServiceError("a shard needs at least one worker thread")
 
 
 class ShardRuntime:
@@ -99,7 +102,6 @@ class ShardRuntime:
         #: (never hold both — send under _lock would let a slow pipe
         #: block admission).
         self._send_lock = threading.Lock()
-        self._done_q: "queue.Queue" = queue.Queue()
         self.service = AcceleratorService(
             devices=config.devices,
             system=scaled_system(l3_slices=config.l3_slices),
@@ -114,10 +116,6 @@ class ShardRuntime:
             telemetry=self.telemetry,
             done_callback=self._job_done,
         )
-        self._completer = threading.Thread(
-            target=self._complete_loop,
-            name=f"shard{shard_id}-completer",
-        )
         self._heartbeat = threading.Thread(
             target=self._heartbeat_loop,
             name=f"shard{shard_id}-heartbeat",
@@ -128,38 +126,21 @@ class ShardRuntime:
     def _send(self, message) -> None:
         with self._send_lock:
             try:
-                send_message(self.connection, message)
+                self.connection.send(message)
             except (BrokenPipeError, OSError):
                 # The gateway is gone; shutdown will follow via the
-                # receive loop's EOF. Dropping the frame is correct —
+                # receive loop's EOF. Dropping the message is correct —
                 # there is nobody left to read it.
                 logger.warning("shard %d: send failed, gateway gone",
                                self.shard_id)
 
     def _job_done(self, job: Job) -> None:
-        """``done_callback`` hook — runs on whichever service thread
-        finished the job; never blocks."""
-        self._done_q.put(job)
-
-    def _complete_loop(self) -> None:
-        while True:
-            job = self._done_q.get()
-            if job is _STOP:
-                return
-            with self._cv:
-                # The admitting thread registers the mapping right
-                # after ``submit`` returns; a job finishing *inside*
-                # submit (REJECTED/SATURATED) can reach us first.
-                while job.id not in self._gateway_ids:
-                    if self._closed:
-                        break
-                    self._cv.wait(timeout=0.05)
-                gateway_id = self._gateway_ids.pop(job.id, None)
-            if gateway_id is None:
-                logger.error("shard %d: no gateway id for job %d",
-                             self.shard_id, job.id)
-                continue
-            assert job.result is not None
+        """``done_callback`` hook, on whichever service thread finished
+        the job.  A job that finishes before ``_handle_submit`` maps it
+        finds no id here, and ``_handle_submit`` sends it instead."""
+        with self._lock:
+            gateway_id = self._gateway_ids.pop(job.id, None)
+        if gateway_id is not None:
             self._send(ResultMsg(job_id=gateway_id, result=job.result))
 
     def _heartbeat_loop(self) -> None:
@@ -191,9 +172,15 @@ class ShardRuntime:
         except ReproError as exc:
             self._send(RejectMsg(job_id=msg.job_id, error=str(exc)))
             return
-        with self._cv:
-            self._gateway_ids[job.id] = msg.job_id
-            self._cv.notify_all()
+        with self._lock:
+            # A job that ended inside submit (SATURATED, REJECTED), or
+            # that a worker has already finished, is never mapped: its
+            # done_callback finds no id, so it is sent from here.
+            finished = job.result is not None
+            if not finished:
+                self._gateway_ids[job.id] = msg.job_id
+        if finished:
+            self._send(ResultMsg(job_id=msg.job_id, result=job.result))
 
     def _handle_stats(self, msg: StatsMsg) -> None:
         spans = []
@@ -211,14 +198,12 @@ class ShardRuntime:
 
     def _shutdown(self, drain: bool) -> None:
         # Drain (or cancel) everything; every job reaches a terminal
-        # state and its done_callback has fired by the time shutdown
-        # returns, so the completer queue holds the full story.
+        # state and its done_callback has sent its result by the time
+        # shutdown returns.
         self.service.shutdown(drain=drain)
         with self._cv:
             self._closed = True
             self._cv.notify_all()
-        self._done_q.put(_STOP)
-        self._completer.join(timeout=10.0)
         self._heartbeat.join(timeout=10.0)
         with self._cv:
             abandoned = tuple(sorted(self._gateway_ids.values()))
@@ -226,7 +211,6 @@ class ShardRuntime:
 
     def run(self) -> None:
         """The blocking receive loop (the shard process's main thread)."""
-        self._completer.start()
         self._heartbeat.start()
         self._send(ReadyMsg(
             shard_id=self.shard_id,
@@ -236,7 +220,7 @@ class ShardRuntime:
         try:
             while True:
                 try:
-                    msg = recv_message(self.connection)
+                    msg = self.connection.recv()
                 except EOFError:
                     # Gateway died; stop without draining — nobody is
                     # listening for results anymore.

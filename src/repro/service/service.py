@@ -205,9 +205,12 @@ class AcceleratorService:
             self.elastic.max_ways, self.partition.scratchpad_ways,
             self.partition.total_ways,
         ).mccs()
-        #: Invoked once per job right after it reaches a terminal state
-        #: (the gateway shard runtime's completion hook).  Called
-        #: outside the service lock; exceptions are logged, never
+        #: Invoked once per job, on the thread that finished it, as the
+        #: last step of ``_finish``: the job's result, counters and
+        #: telemetry are all recorded by then (the gateway shard sends
+        #: the result from here).  A cancel or a deadline found at claim
+        #: finishes its job under the service lock, so the hook must
+        #: not wait on the service.  Exceptions are logged, never
         #: propagated into the finishing wave.
         self.done_callback = done_callback
 
@@ -909,13 +912,6 @@ class AcceleratorService:
             if state is JobState.DONE:
                 self.latencies.add(latency)
             self._job_cv.notify_all()
-        if self.done_callback is not None:
-            try:
-                self.done_callback(job)
-            except Exception:
-                logger.exception(
-                    "done_callback failed for job %d (ignored)", job.id
-                )
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "service.jobs_finished", "jobs by terminal state"
@@ -931,6 +927,13 @@ class AcceleratorService:
                 job_id=job.id, benchmark=job.request.benchmark,
                 items=job.request.items, state=key,
             )
+        if self.done_callback is not None:
+            try:
+                self.done_callback(job)
+            except Exception:
+                logger.exception(
+                    "done_callback failed for job %d (ignored)", job.id
+                )
 
     def _gauge_queue_depth(self) -> None:
         if self.telemetry.enabled:

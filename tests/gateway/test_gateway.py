@@ -6,9 +6,11 @@ the suite keeps the number of launches small and every wait bounded.
 """
 
 import asyncio
+import multiprocessing
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.gateway import (
     GatewayClient,
     GatewayConfig,
@@ -228,6 +230,33 @@ class TestFleetAggregation:
         assert fleet["latency_samples"] == 7
 
 
+class TestStartFailure:
+    """A shard that dies before it is ready fails the start, and no
+    shard process outlives it."""
+
+    @staticmethod
+    def blocked_cache_dir(tmp_path, blocked):
+        """A cache root where ``blocked`` shard namespaces cannot be made:
+        all of them (the root is a regular file) or just ``shard1``."""
+        if blocked == "all":
+            root = tmp_path / "cache-file"
+            root.write_text("")
+        else:
+            root = tmp_path / "cache"
+            root.mkdir()
+            (root / blocked).write_text("")
+        return str(root)
+
+    @pytest.mark.parametrize("blocked", ("all", "shard1"))
+    def test_launch_raises_and_stops_every_shard(self, tmp_path, blocked):
+        cfg = config(2, shard={
+            "cache_dir": self.blocked_cache_dir(tmp_path, blocked),
+        })
+        with pytest.raises(ServiceError, match=r"shard \d exited"):
+            run(GatewayClient.launch(cfg))
+        assert multiprocessing.active_children() == []
+
+
 class TestGatewayCli:
     def test_gateway_burst_smoke(self, tmp_path, capsys):
         from repro.cli import main
@@ -245,3 +274,25 @@ class TestGatewayCli:
         out = capsys.readouterr().out
         assert "12 done" in out
         assert "2 live shards" in out
+
+    def test_shard_that_dies_before_ready_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache_file = tmp_path / "cache-file"
+        cache_file.write_text("")
+        code = main([
+            "gateway", "--shards", "2", "--burst", "2",
+            "--cache-dir", str(cache_file),
+        ])
+        assert code == 2
+        assert "error: shard" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_zero_workers_is_refused_before_any_spawn(self, capsys):
+        from repro.cli import main
+
+        code = main(["gateway", "--workers", "0", "--burst", "2"])
+        assert code == 2
+        assert "error: a shard needs at least one worker" \
+            in capsys.readouterr().err
+        assert multiprocessing.active_children() == []

@@ -14,6 +14,7 @@ from repro.errors import CapacityError, RequestError, ServiceError
 from repro.params import scaled_system
 from repro.service import AcceleratorService, JobState, ProgramCache
 from repro.service.programs import CompiledProgram, compile_program
+from repro.telemetry import Telemetry
 from repro.workloads.datagen import dataset_for
 
 
@@ -241,6 +242,33 @@ class TestLifecycle:
             assert ref() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("workers", (0, 1))
+    def test_done_callback_runs_after_the_job_is_recorded(self, workers):
+        # A gateway shard sends each result from this callback, so a
+        # stats snapshot taken when the result arrives must count it.
+        telemetry = Telemetry()
+        seen = []
+
+        def done(job):
+            latency = telemetry.metrics.get("service.latency_s")
+            finished = telemetry.metrics.get("service.jobs_finished")
+            seen.append((
+                latency.count() if latency else 0,
+                finished.total if finished else 0,
+                job.id in [
+                    span.attrs["job_id"] for span in telemetry.tracer.spans
+                    if span.name == "job"
+                ],
+            ))
+
+        service = make_service(
+            workers=workers, telemetry=telemetry, done_callback=done,
+        )
+        job = service.submit("VADD", 2)
+        assert service.result(job, timeout_s=60).state is JobState.DONE
+        service.shutdown(timeout_s=60)
+        assert seen == [(1, 1, True)]
 
     def test_stats_snapshot_counts(self):
         service = make_service()
